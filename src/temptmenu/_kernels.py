@@ -1,18 +1,16 @@
-"""Grid-search kernels: numba-jitted hot loops with a pure-numpy fallback.
+"""Grid-search kernels, vectorized with numpy.
 
-Two search strategies per menu size, both returning the exact optimum
-over the price grid with the same deterministic tie order (max profit,
-then lexicographically smallest price-index tuple):
+Two search strategies, both returning the exact optimum over the price
+grid with the same deterministic tie order (max profit, then
+lexicographically smallest price-index tuple):
 
-* ``exhaustive`` walks every price tuple and replays the choice rule;
+* ``exhaustive`` walks every price tuple and replays the choice rule; it
+  is the literal reference oracle the other search is checked against;
 * ``bracketed`` designates each offer in turn as the consumed one, walks
   the other offers' prices, and binary-searches the largest designated
   price that keeps the offer inside the consumer's tie window.  Raising
   an offer's own price only ever hurts it, so feasibility is a prefix of
   the sorted price array and the search is exact.
-
-The backend is chosen by the ``TEMPTMENU_BACKEND`` environment variable
-("numba", "numpy" or "auto"; auto prefers numba when importable).
 
 Cost functions are passed as ``(code, ca, cb, cw)``: code 0 is the
 piecewise-linear family (slope ``ca`` below the kink ``cw``, ``cb``
@@ -22,277 +20,19 @@ above), code 1 the power family ``ca * t**cb``.
 from __future__ import annotations
 
 import math
-import os
 from functools import reduce
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-    njit = None
-
-BACKEND_ENV = "TEMPTMENU_BACKEND"
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend request ("auto"/"numba"/"numpy"/None) to a concrete one."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "auto")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    return name
-
-
-# -- scalar kernels (jitted when numba is available) -------------------------
-
-
-def _phi(t, code, ca, cb, cw):
-    if t <= 0.0:
-        return 0.0
-    if code == 0:
-        if t <= cw:
-            return ca * t
-        return cb * (t - cw) + ca * cw
-    return ca * t**cb
-
-
-def _lex_less3(a0, a1, a2, b0, b1, b2):
-    if a0 != b0:
-        return a0 < b0
-    if a1 != b1:
-        return a1 < b1
-    return a2 < b2
-
-
-def _window2(ud, vd, pd, ue, ve, pe, code, ca, cb, cw, tie):
-    vd_ = vd - pd
-    ve_ = ve - pe
-    m_ = vd_ if vd_ > ve_ else ve_
-    od = (ud - pd) - _phi(m_ - vd_, code, ca, cb, cw)
-    oe = (ue - pe) - _phi(m_ - ve_, code, ca, cb, cw)
-    top = od if od > oe else oe
-    return od >= top - tie
-
-
-def _window3(ud, vd, pd, ue, ve, pe, uf, vf, pf, code, ca, cb, cw, tie):
-    vd_ = vd - pd
-    ve_ = ve - pe
-    vf_ = vf - pf
-    m_ = vd_
-    if ve_ > m_:
-        m_ = ve_
-    if vf_ > m_:
-        m_ = vf_
-    od = (ud - pd) - _phi(m_ - vd_, code, ca, cb, cw)
-    oe = (ue - pe) - _phi(m_ - ve_, code, ca, cb, cw)
-    of_ = (uf - pf) - _phi(m_ - vf_, code, ca, cb, cw)
-    top = od
-    if oe > top:
-        top = oe
-    if of_ > top:
-        top = of_
-    return od >= top - tie
-
-
-def _exhaustive2(u0, v0, c0, P0, u1, v1, c1, P1, code, ca, cb, cw, tie):
-    best = -np.inf
-    b0 = -1
-    b1 = -1
-    for i in range(P0.shape[0]):
-        p0 = P0[i]
-        U0 = u0 - p0
-        V0 = v0 - p0
-        m0 = p0 - c0
-        for j in range(P1.shape[0]):
-            p1 = P1[j]
-            U1 = u1 - p1
-            if U0 < 0.0 and U1 < 0.0:
-                continue
-            V1 = v1 - p1
-            M = V0 if V0 > V1 else V1
-            o0 = U0 - _phi(M - V0, code, ca, cb, cw)
-            o1 = U1 - _phi(M - V1, code, ca, cb, cw)
-            top = o0 if o0 > o1 else o1
-            cutoff = top - tie
-            pr = -np.inf
-            if o0 >= cutoff:
-                pr = m0
-            if o1 >= cutoff and p1 - c1 > pr:
-                pr = p1 - c1
-            if pr > best:
-                best = pr
-                b0 = i
-                b1 = j
-    return best, b0, b1
-
-
-def _exhaustive3(u0, v0, c0, P0, u1, v1, c1, P1, u2, v2, c2, P2, code, ca, cb, cw, tie):
-    best = -np.inf
-    b0 = -1
-    b1 = -1
-    b2 = -1
-    for i in range(P0.shape[0]):
-        p0 = P0[i]
-        U0 = u0 - p0
-        V0 = v0 - p0
-        m0 = p0 - c0
-        for j in range(P1.shape[0]):
-            p1 = P1[j]
-            U1 = u1 - p1
-            V1 = v1 - p1
-            U01 = U0 if U0 > U1 else U1
-            V01 = V0 if V0 > V1 else V1
-            m1 = p1 - c1
-            for k in range(P2.shape[0]):
-                p2 = P2[k]
-                U2 = u2 - p2
-                if U01 < 0.0 and U2 < 0.0:
-                    continue
-                V2 = v2 - p2
-                M = V01 if V01 > V2 else V2
-                o0 = U0 - _phi(M - V0, code, ca, cb, cw)
-                o1 = U1 - _phi(M - V1, code, ca, cb, cw)
-                o2 = U2 - _phi(M - V2, code, ca, cb, cw)
-                top = o0
-                if o1 > top:
-                    top = o1
-                if o2 > top:
-                    top = o2
-                cutoff = top - tie
-                pr = -np.inf
-                if o0 >= cutoff:
-                    pr = m0
-                if o1 >= cutoff and m1 > pr:
-                    pr = m1
-                if o2 >= cutoff and p2 - c2 > pr:
-                    pr = p2 - c2
-                if pr > best:
-                    best = pr
-                    b0 = i
-                    b1 = j
-                    b2 = k
-    return best, b0, b1, b2
-
-
-def _bracketed2(ud, vd, cd, Pd, cap_d, pos_d, ue, ve, Pe, code, ca, cb, cw, tie):
-    best = -np.inf
-    b0 = -1
-    b1 = -1
-    nd = Pd.shape[0]
-    for j in range(Pe.shape[0]):
-        pe = Pe[j]
-        hi = nd - 1 if (ue - pe) >= 0.0 else cap_d
-        if hi < 0:
-            continue
-        if Pd[hi] - cd < best:
-            continue
-        if _window2(ud, vd, Pd[hi], ue, ve, pe, code, ca, cb, cw, tie):
-            idx = hi
-        else:
-            lo2 = -1
-            hi2 = hi
-            while hi2 - lo2 > 1:
-                mid = (lo2 + hi2) >> 1
-                if _window2(ud, vd, Pd[mid], ue, ve, pe, code, ca, cb, cw, tie):
-                    lo2 = mid
-                else:
-                    hi2 = mid
-            idx = lo2
-            if idx < 0:
-                continue
-        pr = Pd[idx] - cd
-        q0 = idx if pos_d == 0 else j
-        q1 = idx if pos_d == 1 else j
-        if pr > best or (pr == best and _lex_less3(q0, q1, 0, b0, b1, 0)):
-            best = pr
-            b0 = q0
-            b1 = q1
-    return best, b0, b1
-
-
-def _bracketed3(
-    ud, vd, cd, Pd, cap_d, pos_d, ue, ve, Pe, uf, vf, Pf, code, ca, cb, cw, tie
-):
-    best = -np.inf
-    b0 = -1
-    b1 = -1
-    b2 = -1
-    nd = Pd.shape[0]
-    for j in range(Pe.shape[0]):
-        pe = Pe[j]
-        bait_e = (ue - pe) >= 0.0
-        for k in range(Pf.shape[0]):
-            pf = Pf[k]
-            hi = nd - 1 if (bait_e or (uf - pf) >= 0.0) else cap_d
-            if hi < 0:
-                continue
-            if Pd[hi] - cd < best:
-                continue
-            if _window3(ud, vd, Pd[hi], ue, ve, pe, uf, vf, pf, code, ca, cb, cw, tie):
-                idx = hi
-            else:
-                lo2 = -1
-                hi2 = hi
-                while hi2 - lo2 > 1:
-                    mid = (lo2 + hi2) >> 1
-                    if _window3(
-                        ud, vd, Pd[mid], ue, ve, pe, uf, vf, pf, code, ca, cb, cw, tie
-                    ):
-                        lo2 = mid
-                    else:
-                        hi2 = mid
-                idx = lo2
-                if idx < 0:
-                    continue
-                if Pd[idx] - cd < best:
-                    continue
-            pr = Pd[idx] - cd
-            if pos_d == 0:
-                q0, q1, q2 = idx, j, k
-            elif pos_d == 1:
-                q0 = j
-                q1 = idx
-                q2 = k
-            else:
-                q0, q1, q2 = j, k, idx
-            if pr > best or (pr == best and _lex_less3(q0, q1, q2, b0, b1, b2)):
-                best = pr
-                b0 = q0
-                b1 = q1
-                b2 = q2
-    return best, b0, b1, b2
-
-
-if HAVE_NUMBA:
-    _phi = njit(cache=True, inline="always")(_phi)
-    _lex_less3 = njit(cache=True, inline="always")(_lex_less3)
-    _window2 = njit(cache=True, inline="always")(_window2)
-    _window3 = njit(cache=True, inline="always")(_window3)
-    _exhaustive2 = njit(cache=True)(_exhaustive2)
-    _exhaustive3 = njit(cache=True)(_exhaustive3)
-    _bracketed2 = njit(cache=True)(_bracketed2)
-    _bracketed3 = njit(cache=True)(_bracketed3)
-
-
-# -- numpy fallback ----------------------------------------------------------
-
-
-def _np_phi(t, code, ca, cb, cw):
+def phi(t, code, ca, cb, cw):
     t = np.maximum(t, 0.0)
     if code == 0:
         return np.where(t <= cw, ca * t, cb * (t - cw) + ca * cw)
     return ca * np.power(t, cb)
 
 
-def _np_exhaustive(u, v, c, prices, cost, tie):
+def exhaustive(u, v, c, prices, cost, tie):
     """Literal enumeration, vectorized over all but the first price axis."""
     code, ca, cb, cw = cost
     m = len(prices)
@@ -305,7 +45,7 @@ def _np_exhaustive(u, v, c, prices, cost, tie):
         us = [u[t] - ps[t] for t in range(m)]
         vs = [v[t] - ps[t] for t in range(m)]
         big = reduce(np.maximum, vs)
-        os_ = [us[t] - _np_phi(big - vs[t], code, ca, cb, cw) for t in range(m)]
+        os_ = [us[t] - phi(big - vs[t], code, ca, cb, cw) for t in range(m)]
         top = reduce(np.maximum, os_)
         cutoff = top - tie
         credit = np.broadcast_to(np.float64(-np.inf), inner_shape)
@@ -324,7 +64,7 @@ def _np_exhaustive(u, v, c, prices, cost, tie):
     return best, tuple(int(q) for q in best_tuple)
 
 
-def _np_bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
+def bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
     """Designated-offer search, vectorized over the other offers' price grids."""
     code, ca, cb, cw = cost
     m = len(prices)
@@ -350,9 +90,9 @@ def _np_bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
                 vs = [v[d] - pd] + [v[others[t]] - po[t] for t in range(m - 1)]
                 big = reduce(np.maximum, vs)
                 os_ = [
-                    (u[d] - pd) - _np_phi(big - vs[0], code, ca, cb, cw)
+                    (u[d] - pd) - phi(big - vs[0], code, ca, cb, cw)
                 ] + [
-                    uo[t] - _np_phi(big - vs[1 + t], code, ca, cb, cw)
+                    uo[t] - phi(big - vs[1 + t], code, ca, cb, cw)
                     for t in range(m - 1)
                 ]
                 return os_[0] >= reduce(np.maximum, os_) - tie
@@ -397,16 +137,16 @@ def _cap(P: np.ndarray, value: float) -> int:
     return int(np.searchsorted(P, value, side="right")) - 1
 
 
-def search_subset(u, v, c, prices, cost, tie, mode, backend):
+def search_subset(u, v, c, prices, cost, tie, mode):
     """Best accepted menu over one subset's price grids.
 
     ``u, v, c`` are per-offer parameter tuples, ``prices`` sorted unique
-    float64 arrays per offer.  Returns ``(profit, index_tuple)`` or None
-    when every menu is rejected.  Both modes and both backends return the
-    identical result: max profit, lexicographically smallest index tuple.
+    float64 arrays per offer, ``mode`` is ``"exhaustive"`` or
+    ``"bracketed"``.  Returns ``(profit, index_tuple)`` or None when every
+    menu is rejected.  Both modes return the identical result: max profit,
+    lexicographically smallest index tuple.
     """
-    m = len(prices)
-    if m == 1:
+    if len(prices) == 1:
         cap = _cap(prices[0], u[0])
         if cap < 0:
             return None
@@ -414,62 +154,7 @@ def search_subset(u, v, c, prices, cost, tie, mode, backend):
     u_arr = np.asarray(u, dtype=np.float64)
     v_arr = np.asarray(v, dtype=np.float64)
     c_arr = np.asarray(c, dtype=np.float64)
-    caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
-    code, ca, cb, cw = cost
-    if backend == "numpy":
-        if mode == "exhaustive":
-            return _np_exhaustive(u_arr, v_arr, c_arr, prices, cost, tie)
-        return _np_bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tie)
     if mode == "exhaustive":
-        if m == 2:
-            out = _exhaustive2(
-                u[0], v[0], c[0], prices[0], u[1], v[1], c[1], prices[1],
-                code, ca, cb, cw, tie,
-            )
-        else:
-            out = _exhaustive3(
-                u[0], v[0], c[0], prices[0], u[1], v[1], c[1], prices[1],
-                u[2], v[2], c[2], prices[2], code, ca, cb, cw, tie,
-            )
-        profit, idx = out[0], out[1:]
-        if idx[0] < 0:
-            return None
-        return float(profit), tuple(int(q) for q in idx)
-    best = None
-    for d in range(m):
-        others = [t for t in range(m) if t != d]
-        if m == 2:
-            e = others[0]
-            out = _bracketed2(
-                u[d], v[d], c[d], prices[d], caps[d], d,
-                u[e], v[e], prices[e], code, ca, cb, cw, tie,
-            )
-            profit, idx = out[0], out[1:3]
-        else:
-            e, f = others
-            out = _bracketed3(
-                u[d], v[d], c[d], prices[d], caps[d], d,
-                u[e], v[e], prices[e], u[f], v[f], prices[f],
-                code, ca, cb, cw, tie,
-            )
-            profit, idx = out[0], out[1:4]
-        if idx[0] < 0:
-            continue
-        cand = (float(profit), tuple(int(q) for q in idx))
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-    return best
-
-
-def warm_kernels(backend: str | None = None) -> None:
-    """Trigger (cached) jit compilation so timed searches measure search work."""
-    if resolve_backend(backend) != "numba":
-        return
-    p = np.array([0.0, 1.0])
-    cost = (0, 0.5, 2.0, 1.0)
-    search_subset((1.0, 1.0), (1.0, 1.0), (0.0, 0.0), [p, p], cost, 1e-9, "exhaustive", "numba")
-    search_subset((1.0, 1.0), (1.0, 1.0), (0.0, 0.0), [p, p], cost, 1e-9, "bracketed", "numba")
-    three = [p, p, p]
-    u3 = (1.0, 1.0, 1.0)
-    search_subset(u3, u3, (0.0,) * 3, three, cost, 1e-9, "exhaustive", "numba")
-    search_subset(u3, u3, (0.0,) * 3, three, cost, 1e-9, "bracketed", "numba")
+        return exhaustive(u_arr, v_arr, c_arr, prices, cost, tie)
+    caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
+    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tie)

@@ -208,8 +208,10 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
            assume_profit):
     """Check the analytic optimum against brute-force grid enumeration.
 
-    Passes when the grid-best profit is at most the analytic profit (plus
-    1e-9 slack) and at least the analytic profit minus three grid steps.
+    Passes when the grid-best profit is at most the target profit (plus
+    1e-9 slack) and at least the target minus three grid steps.  The
+    target is the analytic profit, or 0 when that is negative: the grid
+    search may walk away, and then reports profit 0.
     """
     doc = _load(instance)
     inst = doc.instance
@@ -245,8 +247,9 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
     grid_profit = best.profit if best is not None else 0.0
-    lower = analytic_profit - 3.0 * step
-    upper = analytic_profit + 1e-9
+    target = max(analytic_profit, 0.0)
+    lower = target - 3.0 * step
+    upper = target + 1e-9
     passed = lower <= grid_profit <= upper
 
     if ctx.obj["fmt"] == "json":

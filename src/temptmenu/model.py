@@ -61,11 +61,6 @@ class Alternative:
         return self.v - self.u
 
 
-def excess_temptation(alternative: Alternative) -> float:
-    """Temptation value minus utility value of an alternative."""
-    return alternative.v - alternative.u
-
-
 @dataclass(frozen=True)
 class PiecewiseLinearCost:
     """Self-control cost with slope ``l`` below the willpower kink ``w`` and ``k`` above.
@@ -117,15 +112,8 @@ class PowerCost:
 
 
 CostFunction = PiecewiseLinearCost | PowerCost
-
-
-def phi_eval(cost_fn: CostFunction, t: float) -> float:
-    """Self-control cost of resisting a temptation gap ``t``.
-
-    Negative arguments are clamped to zero: in the choice rule the gap is
-    nonnegative by construction, but root-finders probe freely.
-    """
-    return cost_fn.phi(t)
+"""Self-control cost family.  ``phi(t)`` is 0 for ``t <= 0``: in the choice
+rule the gap is nonnegative by construction, but root-finders probe freely."""
 
 
 @dataclass(frozen=True)

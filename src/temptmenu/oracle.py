@@ -8,8 +8,8 @@ candidate prices, which can be injected into the grid so the analytic
 optimum is itself enumerated.
 
 Two search modes return the identical exact grid optimum (see
-``_kernels``); ``auto`` picks the literal enumeration on small grids and
-the bracketed search on large ones.
+``_kernels``): ``exhaustive`` is the literal enumeration, kept as the
+reference, and ``bracketed`` the production search that ``auto`` runs.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _SIZE_KIND = {
     2: ContractKind.INDULGING,
     3: ContractKind.COMPROMISING,
 }
-
-_EXHAUSTIVE_WORK_LIMIT = 20_000_000
-"""Tuple count up to which ``mode="auto"`` keeps the literal enumeration."""
-
 
 class GridTooLarge(ValueError):
     """The requested price grid exceeds the desk-scale guard."""
@@ -143,7 +139,6 @@ def _best_over_subsets(
     prices: list[np.ndarray],
     sizes: range,
     mode: str,
-    backend: str,
     tie_tol: float,
 ):
     """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
@@ -156,7 +151,7 @@ def _best_over_subsets(
             v = tuple(alts[i].v for i in subset)
             c = tuple(alts[i].c for i in subset)
             res = _kernels.search_subset(
-                u, v, c, [prices[i] for i in subset], cost, tie_tol, mode, backend
+                u, v, c, [prices[i] for i in subset], cost, tie_tol, mode
             )
             if res is None:
                 continue
@@ -171,7 +166,6 @@ def grid_best_contract(
     grid: GridSpec,
     *,
     mode: str = "auto",
-    backend: str | None = None,
     tol: float = PRICE_TOL,
     tie_tol: float = CHOICE_TIE_TOL,
 ) -> Solution | None:
@@ -179,25 +173,18 @@ def grid_best_contract(
 
     The result is deterministic given the grid: ties are resolved by the
     total order (profit, subset of alternatives, price-index tuple), and
-    the two search modes and both kernel backends agree exactly.  The
+    the two search modes agree exactly; ``auto`` is ``bracketed``.  The
     winning menu is replayed through the choice rule; the returned
     solution's intended offer is the replayed choice and its welfare the
     replayed welfare (residuals do not apply and are empty).
     """
     if mode not in ("auto", "exhaustive", "bracketed"):
         raise ValueError(f"unknown mode {mode!r}")
-    backend = _kernels.resolve_backend(backend)
-    prices = _price_arrays(inst, grid, tol)
     if mode == "auto":
-        n = len(inst.alternatives)
-        work = sum(
-            math.prod(len(prices[i]) for i in subset)
-            for size in range(1, grid.max_menu_size + 1)
-            for subset in combinations(range(n), size)
-        )
-        mode = "exhaustive" if work <= _EXHAUSTIVE_WORK_LIMIT else "bracketed"
+        mode = "bracketed"
+    prices = _price_arrays(inst, grid, tol)
     best = _best_over_subsets(
-        inst, prices, range(1, grid.max_menu_size + 1), mode, backend, tie_tol
+        inst, prices, range(1, grid.max_menu_size + 1), mode, tie_tol
     )
     if best is None or best[0] < 0.0:
         return None
@@ -252,7 +239,7 @@ def oversize_menu_search(
         u = np.array([alts[i].u for i in subset])
         v = np.array([alts[i].v for i in subset])
         c = np.array([alts[i].c for i in subset])
-        res = _kernels._np_exhaustive(
+        res = _kernels.exhaustive(
             u, v, c, [prices[i] for i in subset], cost, tie_tol
         )
         if res is not None and res[0] > best:

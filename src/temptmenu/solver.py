@@ -30,7 +30,6 @@ from .model import (
     PiecewiseLinearCost,
     ProblemInstance,
     overall_utilities,
-    phi_eval,
 )
 
 PRICE_TOL = 1e-10
@@ -226,12 +225,12 @@ def _self_tempting_price(
     """Root of ``p = u + phi(v - p - e_bait)`` and its absolute residual."""
 
     def g(p: float) -> float:
-        return p - u - phi_eval(cost, (v - e_bait) - p)
+        return p - u - cost.phi((v - e_bait) - p)
 
     if _resolve_method(method, cost) == "closed":
         price = _pw_self_tempting_price(u, v, e_bait, cost)[0]
     else:
-        hi = u + phi_eval(cost, max((v - e_bait) - u, 0.0))
+        hi = u + cost.phi(max((v - e_bait) - u, 0.0))
         price = solve_monotone_price(g, u, hi, tol=tol)
     return price, abs(g(price))
 
@@ -310,12 +309,12 @@ def compromising_contract(
     shift = decoy.v - p_decoy - x.v
 
     def g(p: float) -> float:
-        return p - anchor + phi_eval(cost, shift + p)
+        return p - anchor + cost.phi(shift + p)
 
     if _resolve_method(method, cost) == "closed":
         price = _pw_compromise_price(x, bait.e, decoy, cost)[0]
     else:
-        lo = anchor - phi_eval(cost, max(shift + anchor, 0.0))
+        lo = anchor - cost.phi(max(shift + anchor, 0.0))
         price = solve_monotone_price(g, lo, anchor, tol=tol)
     contract = Contract(
         (Offer(x, price), Offer(bait, bait.u), Offer(decoy, p_decoy)),

@@ -25,7 +25,6 @@ from temptmenu import (
     piecewise_closed_forms,
     sweep_willpower,
 )
-from temptmenu._kernels import warm_kernels
 from helpers import random_pw_instance, running_instance, with_power_cost
 
 P_DECOY = 32.5 / 3
@@ -71,7 +70,6 @@ def test_criterion_1_worked_instance_end_to_end():
 
 def test_criterion_2_oracle_equivalence():
     inst = running_instance()
-    warm_kernels()  # jit compilation is cached, not part of the search budget
     start = time.perf_counter()
     with_prices = grid_best_contract(
         inst, GridSpec(price_step=0.01, price_min=0.0, price_max=20.0)

@@ -21,6 +21,19 @@ cost_function:
 
 TIED = RUNNING.replace("{id: C, u: 2, v: 16, c: 5}", "{id: C, u: 10, v: 14, c: 5}")
 
+# every menu loses money: the solver's best menu has profit -1, the grid walks away
+UNPROFITABLE = """
+alternatives:
+  - {id: A, u: 1, v: 1, c: 5}
+  - {id: B, u: 2, v: 5, c: 7}
+  - {id: C, u: 0.5, v: 8, c: 6}
+cost_function:
+  kind: piecewise_linear
+  l: 0.5
+  k: 2.0
+  w: 1.0
+"""
+
 
 @pytest.fixture
 def instance_file(tmp_path):
@@ -123,6 +136,26 @@ def test_verify_json(instance_file):
     assert payload["passed"] is True
     assert payload["grid_profit"] == pytest.approx(7.0, abs=1e-9)
     assert payload["analytic_profit"] == pytest.approx(7.0, abs=1e-12)
+
+
+def test_verify_anchors_band_at_zero_on_unprofitable_market(tmp_path):
+    path = tmp_path / "unprofitable.yaml"
+    path.write_text(UNPROFITABLE, encoding="utf-8")
+    result = run("verify", str(path), "--step", "0.1")
+    assert result.exit_code == 0, result.output
+    assert "analytic profit: -1\n" in result.output
+    assert "grid-best profit: 0\n" in result.output
+    assert "grid-best menu" not in result.output
+    assert "verdict: pass" in result.output
+    result = run("--format", "json", "verify", str(path), "--step", "0.1")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["analytic_profit"] == -1.0
+    assert payload["grid_profit"] == 0.0
+    assert payload["grid_menu"] is None
+    assert payload["lower_bound"] == pytest.approx(-0.3, abs=1e-12)
+    assert payload["upper_bound"] == 1e-9
+    assert payload["passed"] is True
 
 
 def test_verify_detects_corrupted_claim(instance_file):

@@ -17,11 +17,9 @@ from temptmenu import (
     ProblemInstance,
     accepts,
     actual_choice,
-    excess_temptation,
     overall_utilities,
     perceived_choice,
     perceived_utilities,
-    phi_eval,
     realized_outcome,
 )
 from helpers import running_instance
@@ -46,22 +44,22 @@ def optimal_menu(intended: int = 0) -> Contract:
 
 
 def test_phi_piecewise_values():
-    assert phi_eval(PW, 0.0) == 0.0
-    assert phi_eval(PW, 3.1667) == pytest.approx(4.8334, abs=1e-12)
-    assert phi_eval(PW, 0.5) == 0.25
+    assert PW.phi(0.0) == 0.0
+    assert PW.phi(3.1667) == pytest.approx(4.8334, abs=1e-12)
+    assert PW.phi(0.5) == 0.25
 
 
 def test_phi_clamps_negative_arguments():
-    assert phi_eval(PowerCost(alpha=1.0, gamma=2.0), -1.0) == 0.0
-    assert phi_eval(PW, -3.0) == 0.0
+    assert PowerCost(alpha=1.0, gamma=2.0).phi(-1.0) == 0.0
+    assert PW.phi(-3.0) == 0.0
 
 
 def test_phi_continuous_at_kink():
     cost = PiecewiseLinearCost(l=0.3, k=4.0, w=2.5)
-    below = phi_eval(cost, cost.w)
+    below = cost.phi(cost.w)
     above = cost.k * (cost.w - cost.w) + cost.l * cost.w
     assert below == above == cost.l * cost.w
-    step = phi_eval(cost, math.nextafter(cost.w, math.inf)) - below
+    step = cost.phi(math.nextafter(cost.w, math.inf)) - below
     assert 0.0 <= step < 1e-12
 
 
@@ -75,10 +73,10 @@ def test_phi_piecewise_monotone_and_midpoint_convex(l, k, w):
     cost = PiecewiseLinearCost(l=l, k=k, w=w)
     span = max(10.0 * w, 1.0)
     grid = [span * i / 200.0 for i in range(201)]
-    values = [phi_eval(cost, t) for t in grid]
+    values = [cost.phi(t) for t in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
     for i in range(0, 199, 2):
-        mid = phi_eval(cost, 0.5 * (grid[i] + grid[i + 2]))
+        mid = cost.phi(0.5 * (grid[i] + grid[i + 2]))
         assert mid <= 0.5 * (values[i] + values[i + 2]) + 1e-12
 
 
@@ -87,10 +85,10 @@ def test_phi_piecewise_monotone_and_midpoint_convex(l, k, w):
 def test_phi_power_monotone_and_midpoint_convex(alpha, gamma):
     cost = PowerCost(alpha=alpha, gamma=gamma)
     grid = [10.0 * i / 200.0 for i in range(201)]
-    values = [phi_eval(cost, t) for t in grid]
+    values = [cost.phi(t) for t in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
     for i in range(0, 199, 2):
-        mid = phi_eval(cost, 0.5 * (grid[i] + grid[i + 2]))
+        mid = cost.phi(0.5 * (grid[i] + grid[i + 2]))
         assert mid <= 0.5 * (values[i] + values[i + 2]) + 1e-12
 
 
@@ -115,9 +113,8 @@ def test_cost_parameter_validation():
 
 
 def test_excess_temptation():
-    assert excess_temptation(A) == 0.0
-    assert excess_temptation(B) == 6.0
-    assert excess_temptation(C) == 14.0
+    assert A.e == 0.0
+    assert B.e == 6.0
     assert C.e == 14.0
 
 

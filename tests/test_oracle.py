@@ -1,11 +1,7 @@
-"""Brute-force grid search: mode/backend equivalence and solution replay.
-
-The numpy backend is exercised everywhere. The numba backend is exercised
-only where numba imports; elsewhere its parametrized cases are reported as
-skipped and the looped equivalence tests compare the numpy paths alone.
-"""
+"""Brute-force grid search: equivalence of the search modes and solution replay."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -25,13 +21,10 @@ from temptmenu import (
     oversize_menu_search,
     verify_solution,
 )
-from temptmenu._kernels import HAVE_NUMBA, resolve_backend
+from temptmenu import _kernels
 from helpers import random_pw_instance, running_instance, with_power_cost
 
 MODES = ("exhaustive", "bracketed")
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not importable")
-BACKENDS = (pytest.param("numba", marks=needs_numba), "numpy")
-AVAILABLE_BACKENDS = ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
 
 
 def menu_prices(sol):
@@ -65,45 +58,36 @@ def test_grid_points_are_decimal_exact():
     assert 10.0 in pts and 12.0 in pts
 
 
-def test_backend_resolution():
-    assert resolve_backend("numpy") == "numpy"
-    assert resolve_backend("auto") in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        resolve_backend("cuda")
-
-
-def test_backend_env_flag(monkeypatch, running):
-    monkeypatch.setenv("TEMPTMENU_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
+def test_mode_validation_and_auto_runs_bracketed(running, monkeypatch):
     grid = GridSpec(price_step=1.0, price_min=0.0, price_max=20.0)
-    sol = grid_best_contract(running, grid)  # runs on the numpy fallback
+    with pytest.raises(ValueError, match="unknown mode"):
+        grid_best_contract(running, grid, mode="fastest")
+    search = _kernels.search_subset
+    signature = inspect.signature(search)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(signature.bind(*args, **kwargs).arguments["mode"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "search_subset", spy)
+    sol = grid_best_contract(running, grid, mode="auto")
     assert sol.profit == 7.0
-    monkeypatch.setenv("TEMPTMENU_BACKEND", "auto")
-    assert resolve_backend() in ("numba", "numpy")
+    assert seen and set(seen) == {"bracketed"}
 
 
-def test_missing_numba_falls_back_to_numpy(monkeypatch):
-    import temptmenu._kernels as kernels
-
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    assert kernels.resolve_backend("auto") == "numpy"
-    with pytest.raises(RuntimeError, match="numba"):
-        kernels.resolve_backend("numba")
-
-
-# -- equivalence of modes and backends -------------------------------------------
+# -- equivalence of modes --------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("analytic", (True, False))
-def test_all_paths_agree_on_running_instance(running, mode, backend, analytic):
+def test_all_paths_agree_on_running_instance(running, mode, analytic):
     grid = GridSpec(
         price_step=0.25, price_min=0.0, price_max=20.0,
         include_analytic_prices=analytic,
     )
-    sol = grid_best_contract(running, grid, mode=mode, backend=backend)
-    reference = grid_best_contract(running, grid, mode="exhaustive", backend="numpy")
+    sol = grid_best_contract(running, grid, mode=mode)
+    reference = grid_best_contract(running, grid, mode="exhaustive")
     assert sol.profit == reference.profit == 7.0
     assert menu_prices(sol) == menu_prices(reference)
     assert menu_ids(sol) == menu_ids(reference)
@@ -119,11 +103,7 @@ def test_modes_and_backends_agree_on_random_instances(seed, step, w):
     rng = np.random.default_rng(seed)
     inst = random_pw_instance(rng, n=3, w=w)
     grid = GridSpec(price_step=step, price_min=0.0, price_max=22.0)
-    results = [
-        grid_best_contract(inst, grid, mode=mode, backend=backend)
-        for mode in MODES
-        for backend in AVAILABLE_BACKENDS
-    ]
+    results = [grid_best_contract(inst, grid, mode=mode) for mode in MODES]
     reference = results[0]
     for sol in results[1:]:
         if reference is None:
@@ -137,10 +117,7 @@ def test_modes_and_backends_agree_on_random_instances(seed, step, w):
 def test_power_cost_paths_agree(running):
     inst = with_power_cost(running)
     grid = GridSpec(price_step=0.5, price_min=0.0, price_max=20.0)
-    sols = [
-        grid_best_contract(inst, grid, mode=m, backend=b)
-        for m in MODES for b in AVAILABLE_BACKENDS
-    ]
+    sols = [grid_best_contract(inst, grid, mode=m) for m in MODES]
     for sol in sols[1:]:
         assert sol.profit == pytest.approx(sols[0].profit, abs=1e-12)
         assert menu_ids(sol) == menu_ids(sols[0])
@@ -284,12 +261,11 @@ def test_kernels_match_python_reference_oracle(seed):
     pts = list(grid.base_points())
     reference = _python_reference_best(inst, [pts] * 3)
     for mode in MODES:
-        for backend in AVAILABLE_BACKENDS:
-            sol = grid_best_contract(inst, grid, mode=mode, backend=backend)
-            if reference is None or reference < 0.0:
-                assert sol is None
-            else:
-                assert sol.profit == reference
+        sol = grid_best_contract(inst, grid, mode=mode)
+        if reference is None or reference < 0.0:
+            assert sol is None
+        else:
+            assert sol.profit == reference
 
 
 # -- solution replay ----------------------------------------------------------------

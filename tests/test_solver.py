@@ -21,7 +21,6 @@ from temptmenu import (
     optimal_contract,
     overall_utilities,
     perceived_choice,
-    phi_eval,
     piecewise_closed_forms,
     solve_monotone_price,
 )
@@ -116,7 +115,7 @@ def test_compromising_steep_region_price():
     p = sol.contract.offers[0].price
     assert p == pytest.approx(12.0, abs=1e-12)
     # direct substitution into the pricing identity
-    rhs = 8.0 + P_DECOY - 2.0 - phi_eval(inst.cost_fn, 16.0 - P_DECOY - 14.0 + p)
+    rhs = 8.0 + P_DECOY - 2.0 - inst.cost_fn.phi(16.0 - P_DECOY - 14.0 + p)
     assert rhs == pytest.approx(p, abs=1e-12)
     assert max(sol.residuals) <= 1e-10
     assert sol.contract.offers[2].price == pytest.approx(P_DECOY, abs=1e-12)
@@ -162,14 +161,14 @@ def test_solve_monotone_price_matches_closed_forms():
     cost = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
 
     def eq1(p):
-        return p - 8.0 - phi_eval(cost, 14.0 - p)
+        return p - 8.0 - cost.phi(14.0 - p)
 
-    assert solve_monotone_price(eq1, 8.0, 8.0 + phi_eval(cost, 6.0)) == pytest.approx(11.5, abs=1e-9)
+    assert solve_monotone_price(eq1, 8.0, 8.0 + cost.phi(6.0)) == pytest.approx(11.5, abs=1e-9)
 
     def eq_decoy(p):
-        return p - 2.0 - phi_eval(cost, 16.0 - p)
+        return p - 2.0 - cost.phi(16.0 - p)
 
-    assert solve_monotone_price(eq_decoy, 2.0, 2.0 + phi_eval(cost, 14.0)) == pytest.approx(P_DECOY, abs=1e-9)
+    assert solve_monotone_price(eq_decoy, 2.0, 2.0 + cost.phi(14.0)) == pytest.approx(P_DECOY, abs=1e-9)
 
 
 def test_solve_monotone_price_bracket_failure():
