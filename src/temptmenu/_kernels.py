@@ -7,12 +7,21 @@ lexicographically smallest price-index tuple):
 * ``exhaustive`` walks every price tuple and replays the choice rule; it
   is the literal reference oracle the other search is checked against;
 * ``bracketed`` designates each offer in turn as the consumed one, walks
-  the other offers' prices, and binary-searches the largest designated
-  price that keeps the offer inside the consumer's tie window.  Raising
-  an offer's own price only ever hurts it, so feasibility is a prefix of
-  the sorted price array and the search is exact.
+  the other offers' price tuples (rows), and finds per row the largest
+  designated price that keeps the offer inside the consumer's tie
+  window.  Raising an offer's own price only ever hurts it, so the
+  window test is monotone and feasibility is a prefix of the sorted
+  price array.  The search solves each row's continuous threshold price
+  from ``psi(x) = x + phi(x)``, inverted on one table for both cost
+  families, snaps it to the grid, and confirms it with two window
+  checks: the window holds at the snapped index and fails one index
+  higher.  Rows that fail the confirmation, including non-finite
+  estimates, are bisected on the window test instead.  The estimate only
+  guides; the window test decides every index, so the result is exact
+  and identical to bisecting every row.
 
-Cost functions are passed as ``(code, ca, cb, cw)``: code 0 is the
+Cost functions are passed as ``(code, ca, cb, cw)``, the tuple each cost
+class's ``kernel_params()`` returns: code 0 is the
 piecewise-linear family (slope ``ca`` below the kink ``cw``, ``cb``
 above), code 1 the power family ``ca * t**cb``.
 """
@@ -20,6 +29,7 @@ above), code 1 the power family ``ca * t**cb``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -64,10 +74,95 @@ def exhaustive(u, v, c, prices, cost, tie):
     return best, tuple(int(q) for q in best_tuple)
 
 
-def bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
-    """Designated-offer search, vectorized over the other offers' price grids."""
+PSI_NODES = 4097
+"""Nodes of the ``psi(x) = x + phi(x)`` table the threshold estimate inverts."""
+
+
+@dataclass
+class Tally:
+    """Work counters a search adds to: rows walked, window checks, bisected rows."""
+
+    tuples: int = 0
+    window_checks: int = 0
+    fallback_rows: int = 0
+
+
+def psi_table(prices, v, cost):
+    """``(x, psi(x))`` on ``[0, T]``, T the largest temptation gap the grids allow."""
+    span = (max(v) - min(v)) + (max(p[-1] for p in prices) - min(p[0] for p in prices))
+    xs = np.linspace(0.0, span if span > 0.0 else 1.0, PSI_NODES)
+    with np.errstate(over="ignore"):
+        return xs, xs + phi(xs, *cost)
+
+
+def psi_inverse(y, xs, psis):
+    """Estimate of ``psi^-1(y)``, clamped to the table's range."""
+    return np.interp(y, psis, xs)
+
+
+def _window(ud, vd, Pd, uo, vo, cost, tie):
+    """Tie-window test of the designated offer at price index ``idx``, per row."""
     code, ca, cb, cw = cost
+    nd = len(Pd)
+
+    def window(idx):
+        pd = Pd[np.clip(idx, 0, nd - 1)]
+        vs = vd - pd
+        big = reduce(np.maximum, vo, vs)
+        own = (ud - pd) - phi(big - vs, code, ca, cb, cw)
+        top = reduce(
+            np.maximum, [a - phi(big - b, code, ca, cb, cw) for a, b in zip(uo, vo)]
+        )
+        return own >= np.maximum(own, top) - tie
+
+    return window
+
+
+def _threshold(ud, vd, uo, vo, cost, tie, table):
+    """Continuous price at which the designated offer leaves the tie window.
+
+    Past ``s = vd - max(vo)`` another offer is the most tempting and the
+    others' best overall utility is a per-row constant; below ``s`` the
+    designated offer is the most tempting and each other offer bounds its
+    price on its own.  Both bounds invert the same ``psi``.
+    """
+    code, ca, cb, cw = cost
+    vmax = reduce(np.maximum, vo)
+    s = vd - vmax
+    top = reduce(
+        np.maximum, [a - phi(vmax - b, code, ca, cb, cw) for a, b in zip(uo, vo)]
+    )
+    above = s + psi_inverse(ud - s - top + tie, *table)
+    below = reduce(
+        np.minimum,
+        [vd - b - psi_inverse(a - ud + vd - b - tie, *table) for a, b in zip(uo, vo)],
+    )
+    return np.where(below < s, below, above)
+
+
+def _bisect(window, hi, tally):
+    """Largest index in ``[-1, hi]`` whose window holds, by bisection per row."""
+    lo = np.full(hi.shape, -1, dtype=np.int64)
+    hi2 = (hi + 1).astype(np.int64)
+    while True:
+        open_ = (hi2 - lo) > 1
+        if not open_.any():
+            return lo
+        mid = (lo + hi2) >> 1
+        good = window(mid) & open_
+        tally.window_checks += hi.size
+        lo = np.where(good, mid, lo)
+        hi2 = np.where(open_ & ~good, mid, hi2)
+
+
+def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
+    """Designated-offer search, vectorized over the other offers' price grids.
+
+    Rows are processed in blocks of ``block``, which bounds the memory the
+    per-row temporaries take.
+    """
     m = len(prices)
+    table = psi_table(prices, v, cost)
     best = -np.inf
     best_tuple = None
     for d in range(m):
@@ -79,34 +174,31 @@ def bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
         for start in range(0, total, block):
             flat = np.arange(start, min(start + block, total))
             oidx = np.unravel_index(flat, sizes)
-            po = [prices[others[t]][oidx[t]] for t in range(m - 1)]
-            uo = [u[others[t]] - po[t] for t in range(m - 1)]
+            po = [prices[t][i] for t, i in zip(others, oidx)]
+            uo = [u[t] - p for t, p in zip(others, po)]
+            vo = [v[t] - p for t, p in zip(others, po)]
             bait_ok = reduce(np.logical_or, [x >= 0.0 for x in uo])
             hi = np.where(bait_ok, nd - 1, caps[d])
             alive = hi >= 0
 
-            def window(idx):
-                pd = Pd[np.clip(idx, 0, nd - 1)]
-                vs = [v[d] - pd] + [v[others[t]] - po[t] for t in range(m - 1)]
-                big = reduce(np.maximum, vs)
-                os_ = [
-                    (u[d] - pd) - phi(big - vs[0], code, ca, cb, cw)
-                ] + [
-                    uo[t] - phi(big - vs[1 + t], code, ca, cb, cw)
-                    for t in range(m - 1)
-                ]
-                return os_[0] >= reduce(np.maximum, os_) - tie
-
-            lo = np.full(flat.shape, -1, dtype=np.int64)
-            hi2 = np.where(alive, hi + 1, 0).astype(np.int64)
-            while True:
-                open_ = (hi2 - lo) > 1
-                if not open_.any():
-                    break
-                mid = (lo + hi2) >> 1
-                good = window(mid) & open_
-                lo = np.where(good, mid, lo)
-                hi2 = np.where(open_ & ~good, mid, hi2)
+            window = _window(u[d], v[d], Pd, uo, vo, cost, tie)
+            est = _threshold(u[d], v[d], uo, vo, cost, tie, table)
+            lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
+            hit = (
+                alive
+                & np.isfinite(est)
+                & ((lo < 0) | window(lo))
+                & ((lo >= hi) | ~window(lo + 1))
+            )
+            tally.tuples += flat.size
+            tally.window_checks += 2 * flat.size
+            miss = np.flatnonzero(alive & ~hit)
+            if miss.size:
+                tally.fallback_rows += miss.size
+                sub = _window(
+                    u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost, tie
+                )
+                lo[miss] = _bisect(sub, hi[miss], tally)
             valid = alive & (lo >= 0)
             if not valid.any():
                 continue
@@ -117,8 +209,8 @@ def bracketed(u, v, c, prices, caps, cost, tie, block=1 << 20):
             cand = np.flatnonzero(profit == local)
             tup = np.empty((m, cand.size), dtype=np.int64)
             tup[d] = lo[cand]
-            for t in range(m - 1):
-                tup[others[t]] = oidx[t][cand]
+            for t, i in zip(others, oidx):
+                tup[t] = i[cand]
             order = np.lexsort(tup[::-1])
             pick = tuple(int(tup[t, order[0]]) for t in range(m))
             if local > best or (best_tuple is not None and pick < best_tuple):
@@ -137,16 +229,21 @@ def _cap(P: np.ndarray, value: float) -> int:
     return int(np.searchsorted(P, value, side="right")) - 1
 
 
-def search_subset(u, v, c, prices, cost, tie, mode):
+def search_subset(u, v, c, prices, cost, tie, mode, tally=None):
     """Best accepted menu over one subset's price grids.
 
     ``u, v, c`` are per-offer parameter tuples, ``prices`` sorted unique
     float64 arrays per offer, ``mode`` is ``"exhaustive"`` or
     ``"bracketed"``.  Returns ``(profit, index_tuple)`` or None when every
     menu is rejected.  Both modes return the identical result: max profit,
-    lexicographically smallest index tuple.
+    lexicographically smallest index tuple.  ``tally``, when given, counts
+    the work: a single offer is one row looked up without a window check,
+    ``exhaustive`` checks every price tuple once.
     """
+    if tally is None:
+        tally = Tally()
     if len(prices) == 1:
+        tally.tuples += 1
         cap = _cap(prices[0], u[0])
         if cap < 0:
             return None
@@ -155,6 +252,9 @@ def search_subset(u, v, c, prices, cost, tie, mode):
     v_arr = np.asarray(v, dtype=np.float64)
     c_arr = np.asarray(c, dtype=np.float64)
     if mode == "exhaustive":
+        work = math.prod(len(p) for p in prices)
+        tally.tuples += work
+        tally.window_checks += work
         return exhaustive(u_arr, v_arr, c_arr, prices, cost, tie)
     caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
-    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tie)
+    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tie, tally)

@@ -1,8 +1,9 @@
 """Command-line surface: solve, classify, sweep and verify subcommands.
 
-Exit codes: 0 ok, 1 input or validation problem, 2 solver failure,
-3 verification failure.  Numbers print with 12 significant digits in
-text and CSV output; JSON carries full doubles.
+Exit codes: 0 ok, 1 input or validation problem, 2 solver failure
+(including numeric overflow), 3 verification failure.  Numbers print
+with 12 significant digits in text and CSV output; JSON carries full
+doubles.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -45,6 +47,12 @@ def _load(path: str) -> InstanceDocument:
     except (InstanceFileError, AssumptionViolated, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
+
+
+def _solver_failure(exc: Exception) -> NoReturn:
+    """One-line report of a numeric failure (no traceback), exit 2."""
+    click.echo(f"solver failure: {type(exc).__name__}: {exc}", err=True)
+    raise SystemExit(EXIT_SOLVER)
 
 
 def _tolerance(ctx, doc: InstanceDocument) -> float:
@@ -115,9 +123,8 @@ def solve(ctx, instance):
     doc = _load(instance)
     try:
         sol = optimal_contract(doc.instance, tol=_tolerance(ctx, doc))
-    except BracketFailure as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        raise SystemExit(EXIT_SOLVER)
+    except (BracketFailure, ArithmeticError) as exc:
+        _solver_failure(exc)
     _print_solution(sol, ctx.obj["fmt"])
 
 
@@ -129,9 +136,8 @@ def classify(ctx, instance):
     doc = _load(instance)
     try:
         reg = classify_willpower_regime(doc.instance, tol=_tolerance(ctx, doc))
-    except BracketFailure as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        raise SystemExit(EXIT_SOLVER)
+    except (BracketFailure, ArithmeticError) as exc:
+        _solver_failure(exc)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
@@ -170,9 +176,8 @@ def sweep(ctx, instance, w_from, w_to, w_steps):
     grid = [float(x) for x in np.linspace(w_from, w_to, w_steps)]
     try:
         records = sweep_willpower(doc.instance, grid, tol=_tolerance(ctx, doc))
-    except BracketFailure as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        raise SystemExit(EXIT_SOLVER)
+    except (BracketFailure, ArithmeticError) as exc:
+        _solver_failure(exc)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
@@ -218,9 +223,8 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
     tol = _tolerance(ctx, doc)
     try:
         sol = optimal_contract(inst, tol=tol)
-    except BracketFailure as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        raise SystemExit(EXIT_SOLVER)
+    except (BracketFailure, ArithmeticError) as exc:
+        _solver_failure(exc)
     analytic_profit = sol.profit if assume_profit is None else assume_profit
 
     if price_min is None:
@@ -246,6 +250,8 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
     except (GridTooLarge, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
+    except (BracketFailure, ArithmeticError) as exc:
+        _solver_failure(exc)
     grid_profit = best.profit if best is not None else 0.0
     target = max(analytic_profit, 0.0)
     lower = target - 3.0 * step

@@ -89,6 +89,10 @@ class PiecewiseLinearCost:
             return self.l * t
         return self.k * (t - self.w) + self.l * self.w
 
+    def kernel_params(self) -> tuple[int, float, float, float]:
+        """``(code, ca, cb, cw)`` for the grid-search kernels (code 0: piecewise)."""
+        return (0, self.l, self.k, self.w)
+
 
 @dataclass(frozen=True)
 class PowerCost:
@@ -109,6 +113,10 @@ class PowerCost:
         if t <= 0.0:
             return 0.0
         return self.alpha * t**self.gamma
+
+    def kernel_params(self) -> tuple[int, float, float, float]:
+        """``(code, ca, cb, cw)`` for the grid-search kernels (code 1: power)."""
+        return (1, self.alpha, self.gamma, 0.0)
 
 
 CostFunction = PiecewiseLinearCost | PowerCost

@@ -15,7 +15,7 @@ reference, and ``bracketed`` the production search that ``auto`` runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -25,9 +25,7 @@ from .model import (
     CHOICE_TIE_TOL,
     Contract,
     ContractKind,
-    CostFunction,
     Offer,
-    PiecewiseLinearCost,
     ProblemInstance,
     accepts,
     actual_choice,
@@ -128,10 +126,30 @@ def _price_arrays(inst: ProblemInstance, grid: GridSpec, tol: float) -> list[np.
     ]
 
 
-def _cost_params(cost_fn: CostFunction) -> tuple[int, float, float, float]:
-    if isinstance(cost_fn, PiecewiseLinearCost):
-        return (0, cost_fn.l, cost_fn.k, cost_fn.w)
-    return (1, cost_fn.alpha, cost_fn.gamma, 0.0)
+@dataclass(frozen=True)
+class SizeStats:
+    """Work a grid search did over every subset of one size.
+
+    ``tuples`` counts the rows walked: in ``bracketed`` mode the other
+    offers' price tuples, once per designated offer; in ``exhaustive``
+    mode every price tuple; a one-offer subset is one row (a direct cap
+    lookup).  ``window_checks`` counts per-row tie-window evaluations: two
+    per row to confirm the threshold estimate, plus one per bisection pass
+    over the ``fallback_rows``, the rows whose estimate was not confirmed.
+    """
+
+    size: int
+    tuples: int
+    window_checks: int
+    fallback_rows: int
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """What a grid search did: the mode it ran and its work per subset size."""
+
+    mode: str
+    sizes: tuple[SizeStats, ...]
 
 
 def _best_over_subsets(
@@ -140,9 +158,10 @@ def _best_over_subsets(
     sizes: range,
     mode: str,
     tie_tol: float,
+    tallies: dict[int, _kernels.Tally],
 ):
     """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
-    cost = _cost_params(inst.cost_fn)
+    cost = inst.cost_fn.kernel_params()
     alts = inst.alternatives
     best = None
     for size in sizes:
@@ -151,7 +170,8 @@ def _best_over_subsets(
             v = tuple(alts[i].v for i in subset)
             c = tuple(alts[i].c for i in subset)
             res = _kernels.search_subset(
-                u, v, c, [prices[i] for i in subset], cost, tie_tol, mode
+                u, v, c, [prices[i] for i in subset], cost, tie_tol, mode,
+                tally=tallies[size],
             )
             if res is None:
                 continue
@@ -168,7 +188,8 @@ def grid_best_contract(
     mode: str = "auto",
     tol: float = PRICE_TOL,
     tie_tol: float = CHOICE_TIE_TOL,
-) -> Solution | None:
+    stats: bool = False,
+) -> Solution | None | tuple[Solution | None, SearchStats]:
     """Max-profit menu over the grid, or None if walking away beats every menu.
 
     The result is deterministic given the grid: ties are resolved by the
@@ -176,16 +197,28 @@ def grid_best_contract(
     the two search modes agree exactly; ``auto`` is ``bracketed``.  The
     winning menu is replayed through the choice rule; the returned
     solution's intended offer is the replayed choice and its welfare the
-    replayed welfare (residuals do not apply and are empty).
+    replayed welfare (residuals do not apply and are empty).  With
+    ``stats=True`` the result is ``(solution, SearchStats)``.
     """
     if mode not in ("auto", "exhaustive", "bracketed"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "bracketed"
     prices = _price_arrays(inst, grid, tol)
-    best = _best_over_subsets(
-        inst, prices, range(1, grid.max_menu_size + 1), mode, tie_tol
+    sizes = range(1, grid.max_menu_size + 1)
+    tallies = {size: _kernels.Tally() for size in sizes}
+    best = _best_over_subsets(inst, prices, sizes, mode, tie_tol, tallies)
+    sol = _replay_best(inst, prices, best, tie_tol)
+    if not stats:
+        return sol
+    return sol, SearchStats(
+        mode,
+        tuple(SizeStats(size, **asdict(t)) for size, t in tallies.items()),
     )
+
+
+def _replay_best(inst, prices, best, tie_tol) -> Solution | None:
+    """The search's best menu as a replayed solution, or None if it loses money."""
     if best is None or best[0] < 0.0:
         return None
     profit, subset, idx = best
@@ -227,7 +260,7 @@ def oversize_menu_search(
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
     prices = _price_arrays(inst, grid, tol)
-    cost = _cost_params(inst.cost_fn)
+    cost = inst.cost_fn.kernel_params()
     alts = inst.alternatives
     best = 0.0
     for subset in combinations(range(len(alts)), menu_size):

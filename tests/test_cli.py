@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, exit codes, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from temptmenu.cli import main
+import temptmenu
+from temptmenu.cli import EXIT_SOLVER, main
 
 RUNNING = """
 alternatives:
@@ -33,6 +38,12 @@ cost_function:
   k: 2.0
   w: 1.0
 """
+
+# phi(t) = 0.5 * t**1000 overflows a Python float on the first price bracket
+OVERFLOWING = RUNNING.replace(
+    "kind: piecewise_linear\n  l: 0.5\n  k: 2.0\n  w: 1.0",
+    "kind: power\n  alpha: 0.5\n  gamma: 1000",
+)
 
 
 @pytest.fixture
@@ -172,3 +183,20 @@ def test_verify_loose_lower_bound_at_coarse_step(instance_file):
 def test_tolerance_flag_accepted(instance_file):
     result = run("--tolerance", "1e-8", "solve", instance_file)
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("args", (["solve"], ["verify", "--step", "0.5"]))
+def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(OVERFLOWING, encoding="utf-8")
+    src = str(Path(temptmenu.__file__).resolve().parents[1])
+    path_var = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path_var}
+    proc = subprocess.run(
+        [sys.executable, "-m", "temptmenu.cli", args[0], str(path), *args[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_SOLVER, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stderr.startswith("solver failure: OverflowError")
+    assert proc.stderr.count("\n") == 1

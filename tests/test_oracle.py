@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temptmenu import (
+    CHOICE_TIE_TOL,
+    PRICE_TOL,
     Alternative,
     GridSpec,
     GridTooLarge,
@@ -21,7 +24,7 @@ from temptmenu import (
     oversize_menu_search,
     verify_solution,
 )
-from temptmenu import _kernels
+from temptmenu import _kernels, oracle
 from helpers import random_pw_instance, running_instance, with_power_cost
 
 MODES = ("exhaustive", "bracketed")
@@ -266,6 +269,100 @@ def test_kernels_match_python_reference_oracle(seed):
             assert sol is None
         else:
             assert sol.profit == reference
+
+
+# -- search counters and the window check ----------------------------------------
+
+
+def test_search_stats_count_rows_by_hand(running):
+    # prices 0, 5 and 10 for every alternative
+    grid = GridSpec(
+        price_step=5.0, price_min=0.0, price_max=10.0, include_analytic_prices=False
+    )
+    plain = grid_best_contract(running, grid)
+    sol, stats = grid_best_contract(running, grid, mode="auto", stats=True)
+    assert isinstance(plain, Solution)
+    assert menu_prices(sol) == menu_prices(plain) and sol.profit == plain.profit
+    assert stats.mode == "bracketed"
+    # size 1: one cap lookup per alternative; size 2: three pairs, each
+    # offer designated over the other's 3 prices; size 3: three designated
+    # offers over 3 * 3 tuples of the other two
+    assert [(s.size, s.tuples) for s in stats.sizes] == [(1, 3), (2, 18), (3, 27)]
+    assert stats.sizes[0].window_checks == stats.sizes[0].fallback_rows == 0
+    for s in stats.sizes[1:]:
+        assert s.fallback_rows <= s.tuples
+        assert s.window_checks >= 2 * s.tuples
+    _, ex = grid_best_contract(running, grid, mode="exhaustive", stats=True)
+    assert ex.mode == "exhaustive"
+    assert [
+        (s.size, s.tuples, s.window_checks, s.fallback_rows) for s in ex.sizes
+    ] == [(1, 3, 0, 0), (2, 27, 27, 0), (3, 27, 27, 0)]
+
+
+@pytest.mark.parametrize("power", (False, True))
+def test_fallback_rows_are_a_small_share(running, power):
+    inst = with_power_cost(running) if power else running
+    grid = GridSpec(price_step=0.25, price_min=0.0, price_max=20.0)
+    _, stats = grid_best_contract(inst, grid, stats=True)
+    for s in stats.sizes:
+        assert s.fallback_rows <= s.tuples
+    assert sum(s.fallback_rows for s in stats.sizes) < 0.2 * sum(
+        s.tuples for s in stats.sizes
+    )
+
+
+def _wrong_estimate(kind, step):
+    exact = _kernels.psi_inverse
+    return {
+        "shift_up": lambda y, xs, psis: exact(y, xs, psis) + 3.0 * step,
+        "shift_down": lambda y, xs, psis: exact(y, xs, psis) - 3.0 * step,
+        "zeros": lambda y, xs, psis: np.zeros_like(y),
+        "inf": lambda y, xs, psis: np.full_like(y, np.inf),
+    }[kind]
+
+
+def _subset_results(inst, prices, mode):
+    cost = inst.cost_fn.kernel_params()
+    alts = inst.alternatives
+    return [
+        _kernels.search_subset(
+            tuple(alts[i].u for i in subset),
+            tuple(alts[i].v for i in subset),
+            tuple(alts[i].c for i in subset),
+            [prices[i] for i in subset],
+            cost,
+            CHOICE_TIE_TOL,
+            mode,
+        )
+        for size in (2, 3)
+        for subset in combinations(range(len(alts)), size)
+    ]
+
+
+@pytest.mark.parametrize("estimate", ("shift_up", "shift_down", "zeros", "inf"))
+@pytest.mark.parametrize("power", (False, True))
+def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
+    running, monkeypatch, estimate, power
+):
+    inst = with_power_cost(running) if power else running
+    fine = GridSpec(price_step=0.5, price_min=0.0, price_max=20.0)
+    prices = oracle._price_arrays(inst, fine, PRICE_TOL)
+    coarse = GridSpec(
+        price_step=2.5, price_min=0.0, price_max=17.5, include_analytic_prices=False
+    )
+    reference = _python_reference_best(inst, [list(coarse.base_points())] * 3)
+    expected = _subset_results(inst, prices, "exhaustive")
+    expected_coarse = grid_best_contract(inst, coarse, mode="exhaustive")
+
+    monkeypatch.setattr(_kernels, "psi_inverse", _wrong_estimate(estimate, 0.5))
+    assert _subset_results(inst, prices, "bracketed") == expected
+    sol, stats = grid_best_contract(inst, coarse, mode="bracketed", stats=True)
+    assert sol.profit == expected_coarse.profit == reference
+    assert menu_prices(sol) == menu_prices(expected_coarse)
+    assert menu_ids(sol) == menu_ids(expected_coarse)
+    if estimate == "inf":
+        # every row is alive here (all u >= 0 = lowest price), and none is confirmed
+        assert all(s.fallback_rows == s.tuples for s in stats.sizes[1:])
 
 
 # -- solution replay ----------------------------------------------------------------
