@@ -275,60 +275,58 @@ class ProblemInstance:
     maximizers must be unique and distinct, and the excess-temptation
     maximizer and minimizer must be unique.  Ties are exact floating-point
     ties; a silent tie-break here would make every downstream result
-    assumption-dependent.
+    assumption-dependent.  The four roles are found once, by validation,
+    and stored: later reads do not scan the alternatives again.
     """
 
     alternatives: tuple[Alternative, ...]
     cost_fn: CostFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        if not self.alternatives:
+        alts = tuple(self.alternatives)
+        object.__setattr__(self, "alternatives", alts)
+        if not alts:
             raise ValueError("instance needs at least one alternative")
-        ids = [a.id for a in self.alternatives]
+        ids = [a.id for a in alts]
         if len(set(ids)) != len(ids):
             dupes = tuple(sorted({i for i in ids if ids.count(i) > 1}))
             raise ValueError(f"duplicate alternative ids: {', '.join(dupes)}")
-        if self.u_efficient.id == self.v_efficient.id:
+        u_eff = _unique_extremum(
+            alts, [a.u - a.c for a in alts], True, "the u - c maximizer"
+        )
+        v_eff = _unique_extremum(
+            alts, [a.v - a.c for a in alts], True, "the v - c maximizer"
+        )
+        if u_eff.id == v_eff.id:
             raise AssumptionViolated(
-                f"the u - c and v - c maximizers coincide ({self.u_efficient.id}); "
+                f"the u - c and v - c maximizers coincide ({u_eff.id}); "
                 "the pricing problem is degenerate",
-                (self.u_efficient.id,),
+                (u_eff.id,),
             )
-        self.least_tempting  # noqa: B018 - validates uniqueness
-        self.most_tempting  # noqa: B018
+        e = [a.e for a in alts]
+        least = _unique_extremum(alts, e, False, "the excess-temptation minimizer")
+        most = _unique_extremum(alts, e, True, "the excess-temptation maximizer")
+        object.__setattr__(self, "_roles", (u_eff, v_eff, least, most))
 
     @property
     def u_efficient(self) -> Alternative:
         """Unique maximizer of u - c: the efficient product under long-run value."""
-        return _unique_extremum(
-            self.alternatives, [a.u - a.c for a in self.alternatives], True,
-            "the u - c maximizer",
-        )
+        return self._roles[0]
 
     @property
     def v_efficient(self) -> Alternative:
         """Unique maximizer of v - c: the efficient product under temptation value."""
-        return _unique_extremum(
-            self.alternatives, [a.v - a.c for a in self.alternatives], True,
-            "the v - c maximizer",
-        )
+        return self._roles[1]
 
     @property
     def least_tempting(self) -> Alternative:
         """Unique excess-temptation minimizer; the natural bait offer."""
-        return _unique_extremum(
-            self.alternatives, [a.e for a in self.alternatives], False,
-            "the excess-temptation minimizer",
-        )
+        return self._roles[2]
 
     @property
     def most_tempting(self) -> Alternative:
         """Unique excess-temptation maximizer; the natural decoy offer."""
-        return _unique_extremum(
-            self.alternatives, [a.e for a in self.alternatives], True,
-            "the excess-temptation maximizer",
-        )
+        return self._roles[3]
 
     def __len__(self) -> int:
         return len(self.alternatives)

@@ -33,13 +33,7 @@ from .model import (
     perceived_utilities,
     realized_outcome,
 )
-from .solver import (
-    PRICE_TOL,
-    Solution,
-    compromising_contract,
-    decoy_price,
-    indulging_contract,
-)
+from .solver import PRICE_TOL, Solution, _PriceTable
 
 MAX_GRID_POINTS = 10_000
 """Desk-scale guard: base grid points per alternative."""
@@ -96,19 +90,16 @@ class GridSpec:
 
 def _analytic_candidates(inst: ProblemInstance, tol: float) -> list[list[float]]:
     """Per-alternative analytic candidate prices, in instance order."""
-    bait = inst.least_tempting
-    decoy = inst.most_tempting
+    table = _PriceTable(inst, tol, "auto")
     out: list[list[float]] = []
     for x in inst.alternatives:
         cand = [x.u]
-        if x.id != bait.id:
-            cand.append(indulging_contract(x, inst, tol=tol).contract.offers[0].price)
-            if x.id != decoy.id:
-                cand.append(
-                    compromising_contract(x, inst, tol=tol).contract.offers[0].price
-                )
-        if x.id == decoy.id and bait.id != decoy.id:
-            cand.append(decoy_price(inst, tol=tol))
+        if x.id != table.bait.id:
+            cand.append(table.indulging(x)[0])
+            if x.id != table.decoy.id:
+                cand.append(table.compromise(x)[0])
+        if x.id == table.decoy.id:
+            cand.append(table.decoy_entry[0])
         out.append(cand)
     return out
 

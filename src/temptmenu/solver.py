@@ -19,6 +19,7 @@ the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .model import (
@@ -29,6 +30,7 @@ from .model import (
     Offer,
     PiecewiseLinearCost,
     ProblemInstance,
+    _require_finite,
     overall_utilities,
 )
 
@@ -235,8 +237,113 @@ def _self_tempting_price(
     return price, abs(g(price))
 
 
-def _intended_welfare(contract: Contract, cost: CostFunction) -> float:
-    return overall_utilities(contract, cost)[contract.intended]
+class _PriceTable:
+    """Every price the three designs need, for one instance and one solve.
+
+    ``indulging(x)`` and ``compromise(x)`` give ``x``'s ``(price,
+    residual)`` under each design (its commitment price is ``x.u``).  The
+    bait, the decoy, the decoy's ``(price, residual)`` and whether the
+    decoy is idle are the same for every product and are worked out once;
+    the decoy's price is also its own indulging price.  Prices are solved
+    when first asked for, so a solve that fails raises where pricing the
+    designs one by one would first reach it, and a non-finite price raises
+    the ``Offer`` error as soon as the design holding it is priced.
+    """
+
+    def __init__(self, inst: ProblemInstance, tol: float, method: str):
+        self.cost = inst.cost_fn
+        self.tol = tol
+        self.method = method
+        self.bait = inst.least_tempting
+        self.decoy = inst.most_tempting
+        self.decoy_is_idle = _decoy_is_idle(inst)
+
+    def _self_tempting(self, x: Alternative) -> tuple[float, float]:
+        return _self_tempting_price(
+            x.u, x.v, self.bait.e, self.cost, self.tol, self.method
+        )
+
+    @cached_property
+    def decoy_entry(self) -> tuple[float, float]:
+        return self._self_tempting(self.decoy)
+
+    def indulging(self, x: Alternative) -> tuple[float, float]:
+        entry = self.decoy_entry if x is self.decoy else self._self_tempting(x)
+        _require_finite("price", entry[0])
+        return entry
+
+    def compromise(self, x: Alternative) -> tuple[float, float]:
+        """Price making the consumer indifferent between ``x`` and the decoy.
+
+        Root of ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``.
+        """
+        cost, decoy = self.cost, self.decoy
+        p_decoy = self.decoy_entry[0]
+        anchor = x.u + p_decoy - decoy.u
+        shift = decoy.v - p_decoy - x.v
+
+        def g(p: float) -> float:
+            return p - anchor + cost.phi(shift + p)
+
+        if _resolve_method(self.method, cost) == "closed":
+            price = _pw_compromise_price(x, self.bait.e, decoy, cost)[0]
+        else:
+            lo = anchor - cost.phi(max(shift + anchor, 0.0))
+            price = solve_monotone_price(g, lo, anchor, tol=self.tol)
+        _require_finite("price", price)
+        _require_finite("price", p_decoy)
+        return price, abs(g(price))
+
+
+_Design = tuple[float, ContractKind, tuple[float, float] | None]
+"""``(profit, kind, (price, residual))`` of one design for one product;
+the entry is None for a commitment."""
+
+
+def _best_design(x: Alternative, table: _PriceTable) -> _Design:
+    """Max-profit design for selling ``x``, skipping degenerate constructions.
+
+    Indulging replaces commitment only when strictly more profitable.
+    Compromising replaces the best so far when more profitable by
+    ``REVENUE_TIE_TOL``, or within it unless the decoy is idle.
+    """
+    best: _Design = (x.u - x.c, ContractKind.COMMITMENT, None)
+    if x.id == table.bait.id:
+        return best
+    ind = table.indulging(x)
+    if ind[0] - x.c > best[0]:
+        best = (ind[0] - x.c, ContractKind.INDULGING, ind)
+    if x.id != table.decoy.id:
+        comp = table.compromise(x)
+        profit = comp[0] - x.c
+        if profit > best[0] + REVENUE_TIE_TOL or (
+            profit > best[0] - REVENUE_TIE_TOL and not table.decoy_is_idle
+        ):
+            best = (profit, ContractKind.COMPROMISING, comp)
+    return best
+
+
+def _solution(
+    x: Alternative,
+    kind: ContractKind,
+    entry: tuple[float, float] | None,
+    table: _PriceTable,
+) -> Solution:
+    """The contract and bookkeeping of one priced design."""
+    if kind is ContractKind.COMMITMENT:
+        return commitment_contract(x)
+    price, residual = entry
+    bait = table.bait
+    if kind is ContractKind.INDULGING:
+        offers = (Offer(x, price), Offer(bait, bait.u))
+        residuals = (residual,)
+    else:
+        p_decoy, res_decoy = table.decoy_entry
+        offers = (Offer(x, price), Offer(bait, bait.u), Offer(table.decoy, p_decoy))
+        residuals = (res_decoy, residual)
+    contract = Contract(offers, 0, kind)
+    welfare = overall_utilities(contract, table.cost)[0]
+    return Solution(contract, price - x.c, welfare, x, kind, residuals)
 
 
 def commitment_contract(x: Alternative) -> Solution:
@@ -259,13 +366,10 @@ def indulging_contract(
     case: if ``x`` is the bait itself the construction collapses and the
     commitment solution is returned instead (flagged by its kind).
     """
-    bait = inst.least_tempting
-    if x.id == bait.id:
+    table = _PriceTable(inst, tol, method)
+    if x.id == table.bait.id:
         return commitment_contract(x)
-    price, residual = _self_tempting_price(x.u, x.v, bait.e, inst.cost_fn, tol, method)
-    contract = Contract((Offer(x, price), Offer(bait, bait.u)), 0, ContractKind.INDULGING)
-    welfare = _intended_welfare(contract, inst.cost_fn)
-    return Solution(contract, price - x.c, welfare, x, ContractKind.INDULGING, (residual,))
+    return _solution(x, ContractKind.INDULGING, table.indulging(x), table)
 
 
 def decoy_price(
@@ -277,9 +381,7 @@ def decoy_price(
     alternative; in a compromising menu it is never consumed, it only
     raises everyone else's self-control bill.
     """
-    bait = inst.least_tempting
-    decoy = inst.most_tempting
-    return _self_tempting_price(decoy.u, decoy.v, bait.e, inst.cost_fn, tol, method)[0]
+    return _PriceTable(inst, tol, method).decoy_entry[0]
 
 
 def compromising_contract(
@@ -296,36 +398,13 @@ def compromising_contract(
     ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``.
     All participation and choice constraints bind at the returned prices.
     """
-    bait = inst.least_tempting
-    decoy = inst.most_tempting
-    if x.id in (bait.id, decoy.id):
+    table = _PriceTable(inst, tol, method)
+    if x.id in (table.bait.id, table.decoy.id):
         raise NotCompromisable(
             f"cannot build a three-offer menu selling {x.id}: it already plays "
             "the bait or decoy role"
         )
-    cost = inst.cost_fn
-    p_decoy, res_decoy = _self_tempting_price(decoy.u, decoy.v, bait.e, cost, tol, method)
-    anchor = x.u + p_decoy - decoy.u
-    shift = decoy.v - p_decoy - x.v
-
-    def g(p: float) -> float:
-        return p - anchor + cost.phi(shift + p)
-
-    if _resolve_method(method, cost) == "closed":
-        price = _pw_compromise_price(x, bait.e, decoy, cost)[0]
-    else:
-        lo = anchor - cost.phi(max(shift + anchor, 0.0))
-        price = solve_monotone_price(g, lo, anchor, tol=tol)
-    contract = Contract(
-        (Offer(x, price), Offer(bait, bait.u), Offer(decoy, p_decoy)),
-        0,
-        ContractKind.COMPROMISING,
-    )
-    welfare = _intended_welfare(contract, cost)
-    return Solution(
-        contract, price - x.c, welfare, x, ContractKind.COMPROMISING,
-        (res_decoy, abs(g(price))),
-    )
+    return _solution(x, ContractKind.COMPROMISING, table.compromise(x), table)
 
 
 def _decoy_is_idle(inst: ProblemInstance) -> bool:
@@ -358,32 +437,28 @@ def best_contract_for(
     (within ``REVENUE_TIE_TOL``) and the decoy is genuinely idle, the
     indulging one is reported.
     """
-    best = commitment_contract(x)
-    if x.id == inst.least_tempting.id:
-        return best
-    ind = indulging_contract(x, inst, tol=tol, method=method)
-    if ind.profit > best.profit:
-        best = ind
-    if x.id != inst.most_tempting.id:
-        comp = compromising_contract(x, inst, tol=tol, method=method)
-        if comp.profit > best.profit + REVENUE_TIE_TOL or (
-            comp.profit > best.profit - REVENUE_TIE_TOL and not _decoy_is_idle(inst)
-        ):
-            best = comp
-    return best
+    table = _PriceTable(inst, tol, method)
+    _, kind, entry = _best_design(x, table)
+    return _solution(x, kind, entry, table)
 
 
 def optimal_contract(
     inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
 ) -> Solution:
-    """Profit-maximizing contract over all products; ties go to the lowest index."""
-    best: Solution | None = None
+    """Profit-maximizing contract over all products; ties go to the lowest index.
+
+    Every product's designs are priced from one price table, and only the
+    winner is built into a contract.
+    """
+    table = _PriceTable(inst, tol, method)
+    best_x, best = None, None
     for x in inst.alternatives:
-        sol = best_contract_for(x, inst, tol=tol, method=method)
-        if best is None or sol.profit > best.profit:
-            best = sol
-    assert best is not None
-    return best
+        design = _best_design(x, table)
+        if best is None or design[0] > best[0]:
+            best_x, best = x, design
+    assert best_x is not None
+    _, kind, entry = best
+    return _solution(best_x, kind, entry, table)
 
 
 # -- willpower-regime classification ----------------------------------------
@@ -424,6 +499,17 @@ def _regime_argmax(inst: ProblemInstance, slope: float) -> Alternative:
     return best
 
 
+def _case_index(w: float, thresholds: tuple[float, float, float]) -> int:
+    """Willpower range 1..4 that ``w`` falls in; the thresholds do not depend on ``w``."""
+    if w <= thresholds[0]:
+        return 1
+    if w < thresholds[1]:
+        return 2
+    if w < thresholds[2]:
+        return 3
+    return 4
+
+
 def classify_willpower_regime(
     inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
 ) -> WillpowerRegime:
@@ -448,20 +534,20 @@ def classify_willpower_regime(
         (decoy.e - shallow.e) / scale,
         (decoy.e - bait.e) / scale,
     )
-    w = cost.w
-    if w <= thresholds[0]:
-        case, sold = 1, steep
+    case = _case_index(cost.w, thresholds)
+    if case == 1:
+        sold = steep
         price = _steep_price(steep.u, steep.v, bait.e, cost.k)
         kind = ContractKind.COMPROMISING
-    elif w < thresholds[1]:
+    elif case == 2:
         sol = optimal_contract(inst, tol=tol, method=method)
-        case, sold, price, kind = 2, sol.sold, sol.contract.intended_offer.price, sol.kind
-    elif w < thresholds[2]:
-        case, sold = 3, shallow
+        sold, price, kind = sol.sold, sol.contract.intended_offer.price, sol.kind
+    elif case == 3:
+        sold = shallow
         price = _pw_compromise_price(shallow, bait.e, decoy, cost)[0]
         kind = ContractKind.COMPROMISING
     else:
-        case, sold = 4, shallow
+        sold = shallow
         price = _shallow_price(shallow.u, shallow.v, bait.e, cost.l)
         kind = ContractKind.INDULGING
     return WillpowerRegime(case, sold, price, kind, thresholds, steep, shallow)

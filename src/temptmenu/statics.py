@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .model import ContractKind, PiecewiseLinearCost, ProblemInstance
-from .solver import PRICE_TOL, classify_willpower_regime, optimal_contract
+from .solver import PRICE_TOL, _case_index, classify_willpower_regime, optimal_contract
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,9 @@ def sweep_willpower(
 
     The instance's own cost function supplies the slopes; its willpower
     value is replaced point by point.  Regime thresholds falling inside
-    the grid's span are added as extra points.  An empty grid yields an
-    empty sweep.
+    the grid's span are added as extra points.  The thresholds do not
+    depend on willpower, so the instance is classified once and each
+    point's case is read off them.  An empty grid yields an empty sweep.
     """
     cost = inst.cost_fn
     if not isinstance(cost, PiecewiseLinearCost):
@@ -66,7 +67,7 @@ def sweep_willpower(
     for w in points:
         inst_w = replace(inst, cost_fn=replace(cost, w=w))
         sol = optimal_contract(inst_w, tol=tol, method=method)
-        case = classify_willpower_regime(inst_w, tol=tol, method=method).case_index
+        case = _case_index(inst_w.cost_fn.w, thresholds)
         price = sol.contract.intended_offer.price
         records.append(
             SweepRecord(

@@ -11,18 +11,23 @@ from temptmenu import (
     AssumptionViolated,
     Contract,
     ContractKind,
+    GridSpec,
     Offer,
     PiecewiseLinearCost,
     PowerCost,
     ProblemInstance,
     accepts,
     actual_choice,
+    classify_willpower_regime,
+    grid_best_contract,
+    optimal_contract,
     overall_utilities,
     perceived_choice,
     perceived_utilities,
     realized_outcome,
 )
-from helpers import running_instance
+from temptmenu import model
+from helpers import four_product_instance, running_instance
 
 PW = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
 
@@ -264,6 +269,27 @@ def test_running_instance_roles():
     assert inst.v_efficient.id == "C"
     assert inst.least_tempting.id == "A"
     assert inst.most_tempting.id == "C"
+
+
+def test_roles_are_found_once_at_validation(monkeypatch):
+    calls = []
+    scan = model._unique_extremum
+
+    def spy(*args):
+        calls.append(args[-1])
+        return scan(*args)
+
+    monkeypatch.setattr(model, "_unique_extremum", spy)
+    inst = four_product_instance(w=6.0)  # willpower range 2: classify also solves
+    assert len(calls) == 4
+    calls.clear()
+    optimal_contract(inst)
+    classify_willpower_regime(inst)
+    grid_best_contract(inst, GridSpec(price_step=1.0, price_min=0.0, price_max=20.0))
+    assert (inst.u_efficient.id, inst.least_tempting.id, inst.most_tempting.id) == (
+        "M1", "Y", "Z",
+    )
+    assert calls == []
 
 
 def test_single_alternative_rejected():

@@ -19,7 +19,10 @@ from temptmenu import (
     PiecewiseLinearCost,
     ProblemInstance,
     Solution,
+    compromising_contract,
+    decoy_price,
     grid_best_contract,
+    indulging_contract,
     optimal_contract,
     oversize_menu_search,
     verify_solution,
@@ -136,6 +139,27 @@ def test_analytic_menu_is_enumerated_and_credited(running):
     assert sol.profit >= analytic.profit - 1e-9
     assert sol.profit <= analytic.profit + 1e-9
     assert sol.sold.id == "B"
+
+
+def test_analytic_candidates_equal_the_public_constructors():
+    rng = np.random.default_rng(61)
+    insts = [running_instance(w=w) for w in (0.0, 1.0, 6.0, 20.0)]
+    for n in range(2, 9):
+        inst = random_pw_instance(rng, n)
+        insts += [inst, with_power_cost(inst, float(rng.uniform(0.1, 3.0)), 2.5)]
+    for inst in insts:
+        bait, decoy = inst.least_tempting, inst.most_tempting
+        expected = []
+        for x in inst.alternatives:
+            cand = [x.u]
+            if x.id != bait.id:
+                cand.append(indulging_contract(x, inst).contract.offers[0].price)
+                if x.id != decoy.id:
+                    cand.append(compromising_contract(x, inst).contract.offers[0].price)
+            if x.id == decoy.id:
+                cand.append(decoy_price(inst))
+            expected.append(cand)
+        assert oracle._analytic_candidates(inst, PRICE_TOL) == expected
 
 
 def test_grid_only_profit_within_discretization_loss(running):

@@ -10,6 +10,7 @@ from temptmenu import (
     ContractKind,
     NotCompromisable,
     PiecewiseLinearCost,
+    PowerCost,
     ProblemInstance,
     accepts,
     best_contract_for,
@@ -24,7 +25,7 @@ from temptmenu import (
     piecewise_closed_forms,
     solve_monotone_price,
 )
-from temptmenu.solver import _self_tempting_price
+from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price
 from helpers import perturbed_instance, random_pw_instance, running_instance, with_power_cost
 
 P_DECOY = 32.5 / 3
@@ -405,3 +406,72 @@ def test_classify_raises_nothing_on_exact_shallow_tie(running):
     # lowest-index resolution must kick in instead of an error
     reg = classify_willpower_regime(running)
     assert reg.shallow_product.id == "A"
+
+
+# -- one price table per instance --------------------------------------------------
+
+
+def _decoy_idle(inst):
+    cost = inst.cost_fn
+    if isinstance(cost, PiecewiseLinearCost):
+        return inst.most_tempting.e - inst.least_tempting.e <= (1.0 + cost.l) * cost.w
+    return cost.gamma == 1.0
+
+
+def _reference_optimum(inst, method):
+    """The optimum built design by design from the public constructors."""
+    bait, decoy = inst.least_tempting, inst.most_tempting
+    best = None
+    for x in inst.alternatives:
+        sol = commitment_contract(x)
+        if x.id != bait.id:
+            ind = indulging_contract(x, inst, method=method)
+            if ind.profit > sol.profit:
+                sol = ind
+            if x.id != decoy.id:
+                comp = compromising_contract(x, inst, method=method)
+                if comp.profit > sol.profit + REVENUE_TIE_TOL or (
+                    comp.profit > sol.profit - REVENUE_TIE_TOL and not _decoy_idle(inst)
+                ):
+                    sol = comp
+        if best is None or sol.profit > best.profit:
+            best = sol
+    return best
+
+
+def _pinned_instances():
+    rng = np.random.default_rng(53)
+    insts = [
+        running_instance(w=1.0),  # worked instance: compromising sale of B
+        running_instance(w=20.0),  # idle decoy, and A ties B at profit 5
+        running_instance(w=0.0),  # zero willpower: tie kept on the three-offer menu
+        perturbed_instance(w=20.0),
+    ]
+    for n in range(2, 9):
+        for _ in range(3):
+            inst = random_pw_instance(rng, n)
+            insts.append(inst)
+            gamma = float(rng.choice([1.0, rng.uniform(1.0, 4.0)]))
+            insts.append(with_power_cost(inst, float(rng.uniform(0.1, 3.0)), gamma))
+    return insts
+
+
+@pytest.mark.parametrize("method", ["auto", "bisect"])
+def test_optimal_contract_equals_design_by_design_reference(method):
+    for inst in _pinned_instances():
+        assert optimal_contract(inst, method=method) == _reference_optimum(inst, method)
+
+
+def test_first_failure_is_the_design_by_design_one():
+    # Pricing B's indulging offer stalls; solving the decoy C would
+    # overflow.  Walking the products in order meets B first.
+    alts = running_instance().alternatives
+    inst = ProblemInstance(alts, PowerCost(alpha=0.5, gamma=300.0))
+    with pytest.raises(BracketFailure) as err:
+        optimal_contract(inst)
+    assert type(err.value) is BracketFailure
+    assert str(err.value) == "bisection stalled above tolerance 1e-10"
+    # with the decoy first, its solve is the first one reached
+    reordered = ProblemInstance((alts[2], alts[0], alts[1]), inst.cost_fn)
+    with pytest.raises(OverflowError):
+        optimal_contract(reordered)

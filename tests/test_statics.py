@@ -1,8 +1,11 @@
 """Willpower sweeps and the contract curve."""
 
+from dataclasses import replace
+
 import pytest
 
 from temptmenu import ContractKind, classify_willpower_regime, contract_curve, sweep_willpower
+from temptmenu import solver, statics
 from helpers import (
     four_product_instance,
     perturbed_instance,
@@ -29,6 +32,32 @@ def test_thresholds_are_injected(running):
     assert T_STEEP in ws
     assert 14.0 / 1.5 in ws
     assert ws == sorted(ws)
+
+
+def test_sweep_solves_each_point_once_and_classifies_once(monkeypatch):
+    inst = four_product_instance(w=1.0)  # own willpower in range 1
+    calls = {"solve": 0, "classify": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    solve = counting("solve", solver.optimal_contract)
+    monkeypatch.setattr(solver, "optimal_contract", solve)
+    monkeypatch.setattr(statics, "optimal_contract", solve)
+    monkeypatch.setattr(
+        statics, "classify_willpower_regime",
+        counting("classify", solver.classify_willpower_regime),
+    )
+    records = sweep_willpower(inst, [0.5 * i for i in range(25)])
+    assert {r.case_index for r in records} == {1, 2, 3, 4}
+    assert calls == {"solve": len(records), "classify": 1}
+    for r in records:
+        inst_w = replace(inst, cost_fn=replace(inst.cost_fn, w=r.w))
+        assert r.case_index == classify_willpower_regime(inst_w).case_index
 
 
 def test_sweep_monotonicity(running):
