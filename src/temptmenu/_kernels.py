@@ -20,10 +20,8 @@ lexicographically smallest price-index tuple):
   guides; the window test decides every index, so the result is exact
   and identical to bisecting every row.
 
-Cost functions are passed as ``(code, ca, cb, cw)``, the tuple each cost
-class's ``kernel_params()`` returns: code 0 is the
-piecewise-linear family (slope ``ca`` below the kink ``cw``, ``cb``
-above), code 1 the power family ``ca * t**cb``.
+The cost is the instance's cost object; the kernels only call its
+elementwise ``phi_array``.
 """
 
 from __future__ import annotations
@@ -35,16 +33,8 @@ from functools import reduce
 import numpy as np
 
 
-def phi(t, code, ca, cb, cw):
-    t = np.maximum(t, 0.0)
-    if code == 0:
-        return np.where(t <= cw, ca * t, cb * (t - cw) + ca * cw)
-    return ca * np.power(t, cb)
-
-
 def exhaustive(u, v, c, prices, cost, tie):
     """Literal enumeration, vectorized over all but the first price axis."""
-    code, ca, cb, cw = cost
     m = len(prices)
     inner = [p.reshape((1,) * i + (-1,) + (1,) * (m - 2 - i)) for i, p in enumerate(prices[1:])]
     best = -np.inf
@@ -55,7 +45,7 @@ def exhaustive(u, v, c, prices, cost, tie):
         us = [u[t] - ps[t] for t in range(m)]
         vs = [v[t] - ps[t] for t in range(m)]
         big = reduce(np.maximum, vs)
-        os_ = [us[t] - phi(big - vs[t], code, ca, cb, cw) for t in range(m)]
+        os_ = [us[t] - cost.phi_array(big - vs[t]) for t in range(m)]
         top = reduce(np.maximum, os_)
         cutoff = top - tie
         credit = np.broadcast_to(np.float64(-np.inf), inner_shape)
@@ -92,7 +82,7 @@ def psi_table(prices, v, cost):
     span = (max(v) - min(v)) + (max(p[-1] for p in prices) - min(p[0] for p in prices))
     xs = np.linspace(0.0, span if span > 0.0 else 1.0, PSI_NODES)
     with np.errstate(over="ignore"):
-        return xs, xs + phi(xs, *cost)
+        return xs, xs + cost.phi_array(xs)
 
 
 def psi_inverse(y, xs, psis):
@@ -102,17 +92,14 @@ def psi_inverse(y, xs, psis):
 
 def _window(ud, vd, Pd, uo, vo, cost, tie):
     """Tie-window test of the designated offer at price index ``idx``, per row."""
-    code, ca, cb, cw = cost
     nd = len(Pd)
 
     def window(idx):
         pd = Pd[np.clip(idx, 0, nd - 1)]
         vs = vd - pd
         big = reduce(np.maximum, vo, vs)
-        own = (ud - pd) - phi(big - vs, code, ca, cb, cw)
-        top = reduce(
-            np.maximum, [a - phi(big - b, code, ca, cb, cw) for a, b in zip(uo, vo)]
-        )
+        own = (ud - pd) - cost.phi_array(big - vs)
+        top = reduce(np.maximum, [a - cost.phi_array(big - b) for a, b in zip(uo, vo)])
         return own >= np.maximum(own, top) - tie
 
     return window
@@ -126,12 +113,9 @@ def _threshold(ud, vd, uo, vo, cost, tie, table):
     designated offer is the most tempting and each other offer bounds its
     price on its own.  Both bounds invert the same ``psi``.
     """
-    code, ca, cb, cw = cost
     vmax = reduce(np.maximum, vo)
     s = vd - vmax
-    top = reduce(
-        np.maximum, [a - phi(vmax - b, code, ca, cb, cw) for a, b in zip(uo, vo)]
-    )
+    top = reduce(np.maximum, [a - cost.phi_array(vmax - b) for a, b in zip(uo, vo)])
     above = s + psi_inverse(ud - s - top + tie, *table)
     below = reduce(
         np.minimum,

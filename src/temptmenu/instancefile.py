@@ -25,17 +25,12 @@ errors name the offending key or alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 import yaml
 
-from .model import (
-    Alternative,
-    CostFunction,
-    PiecewiseLinearCost,
-    PowerCost,
-    ProblemInstance,
-)
+from .model import Alternative, CostFunction, ProblemInstance
 from .oracle import GridSpec
 
 
@@ -78,23 +73,15 @@ def _number(node: dict, key: str, path: str) -> float:
 def _cost_function(node, path: str) -> CostFunction:
     node = _as_map(node, path)
     kind = _get(node, "kind", path)
+    # the family named ``kind``; its other keys are the class's dataclass fields
+    cls = next((c for c in get_args(CostFunction) if c.kind == kind), None)
+    if cls is None:
+        _fail(f"{path}.kind", f"unknown cost function kind {kind!r}")
+    params = {f.name: _number(node, f.name, path) for f in fields(cls)}
     try:
-        if kind == "piecewise_linear":
-            return PiecewiseLinearCost(
-                l=_number(node, "l", path),
-                k=_number(node, "k", path),
-                w=_number(node, "w", path),
-            )
-        if kind == "power":
-            return PowerCost(
-                alpha=_number(node, "alpha", path),
-                gamma=_number(node, "gamma", path),
-            )
+        return cls(**params)
     except ValueError as exc:
-        if isinstance(exc, InstanceFileError):
-            raise
         _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown cost function kind {kind!r}")
 
 
 def parse_instance(text: str) -> InstanceDocument:
@@ -176,10 +163,7 @@ def dump_instance(doc: InstanceDocument | ProblemInstance) -> str:
         doc = InstanceDocument(doc)
     inst = doc.instance
     cost = inst.cost_fn
-    if isinstance(cost, PiecewiseLinearCost):
-        cost_node = {"kind": "piecewise_linear", "l": cost.l, "k": cost.k, "w": cost.w}
-    else:
-        cost_node = {"kind": "power", "alpha": cost.alpha, "gamma": cost.gamma}
+    cost_node = {"kind": cost.kind, **asdict(cost)}
     root: dict = {
         "alternatives": [
             {"id": a.id, "u": a.u, "v": a.v, "c": a.c} for a in inst.alternatives

@@ -11,9 +11,11 @@ toward tempting, overpriced items.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 CHOICE_TIE_TOL = 1e-9
 """Overall-utility gap below which menu offers count as tied.
@@ -70,6 +72,9 @@ class PiecewiseLinearCost:
     cost exceeds one money unit per unit of resisted temptation.
     """
 
+    kind: ClassVar[str] = "piecewise_linear"
+    has_closed_forms: ClassVar[bool] = True
+
     l: float
     k: float
     w: float
@@ -89,14 +94,27 @@ class PiecewiseLinearCost:
             return self.l * t
         return self.k * (t - self.w) + self.l * self.w
 
-    def kernel_params(self) -> tuple[int, float, float, float]:
-        """``(code, ca, cb, cw)`` for the grid-search kernels (code 0: piecewise)."""
-        return (0, self.l, self.k, self.w)
+    def phi_array(self, t):
+        import numpy as np
+        t = np.maximum(t, 0.0)
+        return np.where(t <= self.w, self.l * t, self.k * (t - self.w) + self.l * self.w)
+
+    def decoy_is_idle(self, gap: float) -> bool:
+        """Whether a decoy ``gap`` above the bait in excess temptation stays
+        on the shallow slope.  The compromising and indulging designs then
+        earn the same, and the two-offer menu is reported.  (They also tie at
+        zero willpower, where the cost is linear at the steep slope; there
+        the three-offer menu is kept, because the designs differ in realized
+        welfare and the sweep invariants pin the selection.)"""
+        return gap <= (1.0 + self.l) * self.w
 
 
 @dataclass(frozen=True)
 class PowerCost:
     """Self-control cost ``alpha * t**gamma``; strictly convex iff ``gamma > 1``."""
+
+    kind: ClassVar[str] = "power"
+    has_closed_forms: ClassVar[bool] = False
 
     alpha: float
     gamma: float
@@ -112,16 +130,25 @@ class PowerCost:
     def phi(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return self.alpha * t**self.gamma
+        try:
+            return self.alpha * t**self.gamma
+        except OverflowError:
+            return math.inf
 
-    def kernel_params(self) -> tuple[int, float, float, float]:
-        """``(code, ca, cb, cw)`` for the grid-search kernels (code 1: power)."""
-        return (1, self.alpha, self.gamma, 0.0)
+    def phi_array(self, t):
+        import numpy as np
+        return self.alpha * np.power(np.maximum(t, 0.0), self.gamma)
+
+    def decoy_is_idle(self, gap: float) -> bool:
+        """Whether the decoy raises no price: only under a linear cost."""
+        return self.gamma == 1.0
 
 
 CostFunction = PiecewiseLinearCost | PowerCost
-"""Self-control cost family.  ``phi(t)`` is 0 for ``t <= 0``: in the choice
-rule the gap is nonnegative by construction, but root-finders probe freely."""
+"""Self-control cost family.  Each class owns what depends on the family:
+``phi(t)``, 0 for ``t <= 0`` (root-finders probe freely) and ``inf`` where
+it overflows; ``phi_array`` on numpy arrays; ``has_closed_forms``;
+``decoy_is_idle(gap)``; and ``kind``, its name in instance files."""
 
 
 @dataclass(frozen=True)
@@ -327,6 +354,13 @@ class ProblemInstance:
     def most_tempting(self) -> Alternative:
         """Unique excess-temptation maximizer; the natural decoy offer."""
         return self._roles[3]
+
+    def _with_cost(self, cost_fn: CostFunction) -> ProblemInstance:
+        """The same alternatives under another cost.  The roles depend only
+        on the alternatives, so they carry over without a new scan."""
+        clone = copy.copy(self)
+        object.__setattr__(clone, "cost_fn", cost_fn)
+        return clone
 
     def __len__(self) -> int:
         return len(self.alternatives)

@@ -152,7 +152,6 @@ def _best_over_subsets(
     tallies: dict[int, _kernels.Tally],
 ):
     """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
-    cost = inst.cost_fn.kernel_params()
     alts = inst.alternatives
     best = None
     for size in sizes:
@@ -161,7 +160,7 @@ def _best_over_subsets(
             v = tuple(alts[i].v for i in subset)
             c = tuple(alts[i].c for i in subset)
             res = _kernels.search_subset(
-                u, v, c, [prices[i] for i in subset], cost, tie_tol, mode,
+                u, v, c, [prices[i] for i in subset], inst.cost_fn, tie_tol, mode,
                 tally=tallies[size],
             )
             if res is None:
@@ -251,7 +250,6 @@ def oversize_menu_search(
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
     prices = _price_arrays(inst, grid, tol)
-    cost = inst.cost_fn.kernel_params()
     alts = inst.alternatives
     best = 0.0
     for subset in combinations(range(len(alts)), menu_size):
@@ -264,7 +262,7 @@ def oversize_menu_search(
         v = np.array([alts[i].v for i in subset])
         c = np.array([alts[i].c for i in subset])
         res = _kernels.exhaustive(
-            u, v, c, [prices[i] for i in subset], cost, tie_tol
+            u, v, c, [prices[i] for i in subset], inst.cost_fn, tie_tol
         )
         if res is not None and res[0] > best:
             best = res[0]

@@ -9,11 +9,12 @@ Three menu designs are priced for each candidate product ``x``:
   decoy whose price solves the same fixed point, then price ``x`` so the
   consumer is exactly indifferent to the decoy.
 
-All three pricing equations have strictly increasing residuals, so a
-bracketed bisection pins each root to ``PRICE_TOL``.  For the
-piecewise-linear cost family every price also has a closed form, which is
-the default evaluation path (and is cross-checked against bisection in
-the test suite).
+All three pricing equations are one equation in the resisted gap ``t``,
+``psi(t) = t + phi(t) = y``, which ``psi_root`` bisects on ``[0, y]`` to
+adjacent doubles; such a price must meet ``PRICE_TOL`` in its own
+equation.  Where the cost family has closed forms (the piecewise-linear
+one), they are the default path, cross-checked against the bisection in
+the test suite.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ REVENUE_TIE_TOL = 1e-9
 
 
 class BracketFailure(RuntimeError):
-    """No sign change found for a price equation; a model assumption is broken."""
+    """A price equation has no root in its bracket, or no double meets ``tol``."""
 
 
 class NotCompromisable(ValueError):
@@ -67,56 +68,45 @@ class Solution:
     residuals: tuple[float, ...]
 
 
-def solve_monotone_price(
-    residual: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = PRICE_TOL,
-    max_expansions: int = 60,
-) -> float:
-    """Root of a continuous, strictly increasing residual by bisection.
+def solve_monotone_price(residual: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a continuous, nondecreasing residual on ``[lo, hi]`` by bisection.
 
-    ``[lo, hi]`` is a bracket hint; if it does not straddle the root the
-    bracket is widened geometrically (doubling) up to ``max_expansions``
-    times before giving up.  Returns a price with ``|residual| <= tol``.
+    Raises ``BracketFailure`` unless ``residual(lo) <= 0 <= residual(hi)``.
+    Halves the bracket until its midpoint equals an endpoint, so the ends
+    are adjacent doubles, and returns the end with the smaller
+    ``|residual|``.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    width = max(hi - lo, 1.0)
-    for _ in range(max_expansions):
-        if r_lo <= 0.0 <= r_hi:
-            break
-        if r_lo > 0.0:
-            lo -= width
-            r_lo = residual(lo)
-        if r_hi < 0.0:
-            hi += width
-            r_hi = residual(hi)
-        width *= 2.0
-    else:
-        raise BracketFailure(
-            f"no sign change in [{lo}, {hi}] after {max_expansions} expansions; "
-            "the pricing equation is not behaving monotonically"
-        )
-    if abs(r_lo) <= tol:
-        return lo
-    if abs(r_hi) <= tol:
-        return hi
-    for _ in range(200):
+    r_lo, r_hi = residual(lo), residual(hi)
+    if not r_lo <= 0.0 <= r_hi:
+        raise BracketFailure(f"no sign change in [{lo}, {hi}]")
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if -r_lo <= r_hi else hi
         r_mid = residual(mid)
-        if abs(r_mid) <= tol:
-            return mid
         if r_mid < 0.0:
-            lo = mid
+            lo, r_lo = mid, r_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(mid)):
-            return mid
-    raise BracketFailure(f"bisection stalled above tolerance {tol}")
+            hi, r_hi = mid, r_mid
+
+
+def psi_root(cost: CostFunction, y: float) -> float:
+    """Resisted gap ``t`` with ``t + phi(t) = y``; 0 for ``y <= 0``.
+
+    Every implicit price is ``psi^-1`` of a temptation gap.  ``phi >= 0``
+    puts the root in ``[0, y]``, so the bracket holds by construction.
+    """
+    if y <= 0.0:
+        return 0.0
+    return solve_monotone_price(lambda t: t + cost.phi(t) - y, 0.0, y)
+
+
+def _accepted(price: float, g: Callable[[float], float], tol: float, what: str) -> float:
+    """A bisected ``price``, which must meet ``|g(price)| <= tol``."""
+    residual = abs(g(price))
+    if residual > tol:
+        raise BracketFailure(f"{what}: residual {residual:.3g} exceeds tol {tol:g}")
+    return price
 
 
 # -- closed forms for the piecewise-linear family ---------------------------
@@ -198,7 +188,7 @@ def piecewise_closed_forms(x: Alternative, inst: ProblemInstance) -> ClosedFormP
     applicability is enforced by the contract constructors.
     """
     cost = inst.cost_fn
-    if not isinstance(cost, PiecewiseLinearCost):
+    if not cost.has_closed_forms:
         raise ValueError("closed forms exist only for the piecewise-linear cost family")
     bait_e = inst.least_tempting.e
     decoy = inst.most_tempting
@@ -213,18 +203,25 @@ def piecewise_closed_forms(x: Alternative, inst: ProblemInstance) -> ClosedFormP
 
 def _resolve_method(method: str, cost: CostFunction) -> str:
     if method == "auto":
-        return "closed" if isinstance(cost, PiecewiseLinearCost) else "bisect"
+        return "closed" if cost.has_closed_forms else "bisect"
     if method not in ("closed", "bisect"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not isinstance(cost, PiecewiseLinearCost):
+    if method == "closed" and not cost.has_closed_forms:
         raise ValueError("closed-form prices exist only for the piecewise-linear family")
     return method
 
 
 def _self_tempting_price(
-    u: float, v: float, e_bait: float, cost: CostFunction, tol: float, method: str
+    u: float, v: float, e_bait: float, cost: CostFunction, tol: float, method: str,
+    what: str = "price",
 ) -> tuple[float, float]:
-    """Root of ``p = u + phi(v - p - e_bait)`` and its absolute residual."""
+    """Root of ``p = u + phi(v - p - e_bait)`` and its absolute residual.
+
+    The resisted gap ``t = v - e_bait - p`` at the root solves
+    ``psi(t) = e - e_bait``.  The price is read back as ``v - e_bait - t``
+    rather than the equal ``u + phi(t)``: ``phi`` would scale the error of
+    ``t`` by its slope, which is in the thousands at large ``gamma``.
+    """
 
     def g(p: float) -> float:
         return p - u - cost.phi((v - e_bait) - p)
@@ -232,8 +229,7 @@ def _self_tempting_price(
     if _resolve_method(method, cost) == "closed":
         price = _pw_self_tempting_price(u, v, e_bait, cost)[0]
     else:
-        hi = u + cost.phi(max((v - e_bait) - u, 0.0))
-        price = solve_monotone_price(g, u, hi, tol=tol)
+        price = _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, tol, what)
     return price, abs(g(price))
 
 
@@ -246,8 +242,10 @@ class _PriceTable:
     decoy is idle are the same for every product and are worked out once;
     the decoy's price is also its own indulging price.  Prices are solved
     when first asked for, so a solve that fails raises where pricing the
-    designs one by one would first reach it, and a non-finite price raises
-    the ``Offer`` error as soon as the design holding it is priced.
+    designs one by one would first reach it, naming the design (indulging,
+    decoy or compromise) and the product whose price failed, and a
+    non-finite price raises the ``Offer`` error as soon as the design
+    holding it is priced.
     """
 
     def __init__(self, inst: ProblemInstance, tol: float, method: str):
@@ -256,26 +254,28 @@ class _PriceTable:
         self.method = method
         self.bait = inst.least_tempting
         self.decoy = inst.most_tempting
-        self.decoy_is_idle = _decoy_is_idle(inst)
+        self.decoy_is_idle = self.cost.decoy_is_idle(self.decoy.e - self.bait.e)
 
-    def _self_tempting(self, x: Alternative) -> tuple[float, float]:
+    def _self_tempting(self, x: Alternative, design: str) -> tuple[float, float]:
         return _self_tempting_price(
-            x.u, x.v, self.bait.e, self.cost, self.tol, self.method
+            x.u, x.v, self.bait.e, self.cost, self.tol, self.method,
+            f"{design} price of {x.id}",
         )
 
     @cached_property
     def decoy_entry(self) -> tuple[float, float]:
-        return self._self_tempting(self.decoy)
+        return self._self_tempting(self.decoy, "decoy")
 
     def indulging(self, x: Alternative) -> tuple[float, float]:
-        entry = self.decoy_entry if x is self.decoy else self._self_tempting(x)
+        entry = self.decoy_entry if x is self.decoy else self._self_tempting(x, "indulging")
         _require_finite("price", entry[0])
         return entry
 
     def compromise(self, x: Alternative) -> tuple[float, float]:
         """Price making the consumer indifferent between ``x`` and the decoy.
 
-        Root of ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``.
+        Root of ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``;
+        its resisted gap ``t = shift + p`` solves ``psi(t) = e(decoy) - e(x)``.
         """
         cost, decoy = self.cost, self.decoy
         p_decoy = self.decoy_entry[0]
@@ -288,8 +288,8 @@ class _PriceTable:
         if _resolve_method(self.method, cost) == "closed":
             price = _pw_compromise_price(x, self.bait.e, decoy, cost)[0]
         else:
-            lo = anchor - cost.phi(max(shift + anchor, 0.0))
-            price = solve_monotone_price(g, lo, anchor, tol=self.tol)
+            price = psi_root(cost, decoy.e - x.e) - shift
+            price = _accepted(price, g, self.tol, f"compromise price of {x.id}")
         _require_finite("price", price)
         _require_finite("price", p_decoy)
         return price, abs(g(price))
@@ -407,23 +407,6 @@ def compromising_contract(
     return _solution(x, ContractKind.COMPROMISING, table.compromise(x), table)
 
 
-def _decoy_is_idle(inst: ProblemInstance) -> bool:
-    """True when the cost is linear over every gap the decoy can create.
-
-    In that regime the compromising and indulging designs are
-    revenue-equivalent and the two-offer menu is reported.  (A tie also
-    occurs at zero willpower, where the cost is linear at the steep
-    slope; there the three-offer menu is kept, because the equally
-    profitable designs differ in realized welfare and the sweep
-    invariants pin the selection.)
-    """
-    cost = inst.cost_fn
-    if isinstance(cost, PiecewiseLinearCost):
-        gap = inst.most_tempting.e - inst.least_tempting.e
-        return gap <= (1.0 + cost.l) * cost.w
-    return cost.gamma == 1.0
-
-
 def best_contract_for(
     x: Alternative,
     inst: ProblemInstance,
@@ -510,19 +493,15 @@ def _case_index(w: float, thresholds: tuple[float, float, float]) -> int:
     return 4
 
 
-def classify_willpower_regime(
-    inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
-) -> WillpowerRegime:
-    """Which product the optimal contract sells, read off the willpower ranges.
+def _regime_thresholds(
+    inst: ProblemInstance,
+) -> tuple[Alternative, Alternative, tuple[float, float, float]]:
+    """The steep- and shallow-regime products and the willpower thresholds.
 
-    Case 2 (willpower strictly between the steep and shallow product
-    thresholds) has no closed form; the prediction there simply reports
-    the direct maximization.  Prices in cases 1, 3 and 4 reuse the exact
-    closed-form expressions of the constructors, so agreement with
-    ``optimal_contract`` is exact rather than merely within tolerance.
+    None of them depends on the willpower ``w``.
     """
     cost = inst.cost_fn
-    if not isinstance(cost, PiecewiseLinearCost):
+    if not cost.has_closed_forms:
         raise ValueError("willpower ranges are defined for the piecewise-linear family")
     bait = inst.least_tempting
     decoy = inst.most_tempting
@@ -534,6 +513,24 @@ def classify_willpower_regime(
         (decoy.e - shallow.e) / scale,
         (decoy.e - bait.e) / scale,
     )
+    return steep, shallow, thresholds
+
+
+def classify_willpower_regime(
+    inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
+) -> WillpowerRegime:
+    """Which product the optimal contract sells, read off the willpower ranges.
+
+    Case 2 (willpower strictly between the steep and shallow product
+    thresholds) has no closed form; the prediction there simply reports
+    the direct maximization.  Prices in cases 1, 3 and 4 reuse the exact
+    closed-form expressions of the constructors, so agreement with
+    ``optimal_contract`` is exact rather than merely within tolerance.
+    """
+    steep, shallow, thresholds = _regime_thresholds(inst)
+    cost = inst.cost_fn
+    bait = inst.least_tempting
+    decoy = inst.most_tempting
     case = _case_index(cost.w, thresholds)
     if case == 1:
         sold = steep

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .model import ContractKind, PiecewiseLinearCost, ProblemInstance
-from .solver import PRICE_TOL, _case_index, classify_willpower_regime, optimal_contract
+from .model import ContractKind, ProblemInstance
+from .solver import PRICE_TOL, _case_index, _regime_thresholds, optimal_contract
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ def sweep_willpower(
     The instance's own cost function supplies the slopes; its willpower
     value is replaced point by point.  Regime thresholds falling inside
     the grid's span are added as extra points.  The thresholds do not
-    depend on willpower, so the instance is classified once and each
-    point's case is read off them.  An empty grid yields an empty sweep.
+    depend on willpower, so they are worked out once, like the roles, and
+    each point is solved once.  An empty grid yields an empty sweep.
     """
     cost = inst.cost_fn
-    if not isinstance(cost, PiecewiseLinearCost):
+    if not cost.has_closed_forms:
         raise ValueError("willpower sweeps require the piecewise-linear cost family")
     w_grid = list(w_grid)
     if any(b <= a for a, b in zip(w_grid, w_grid[1:])):
@@ -59,15 +59,14 @@ def sweep_willpower(
         raise ValueError("willpower levels must be >= 0")
     if not w_grid:
         return []
-    thresholds = classify_willpower_regime(inst, tol=tol, method=method).thresholds
+    thresholds = _regime_thresholds(inst)[2]
     points = sorted(
         set(w_grid) | {t for t in thresholds if w_grid[0] <= t <= w_grid[-1]}
     )
     records = []
     for w in points:
-        inst_w = replace(inst, cost_fn=replace(cost, w=w))
-        sol = optimal_contract(inst_w, tol=tol, method=method)
-        case = _case_index(inst_w.cost_fn.w, thresholds)
+        sol = optimal_contract(inst._with_cost(replace(cost, w=w)), tol=tol, method=method)
+        case = _case_index(w, thresholds)
         price = sol.contract.intended_offer.price
         records.append(
             SweepRecord(

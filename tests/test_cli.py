@@ -39,11 +39,19 @@ cost_function:
   w: 1.0
 """
 
-# phi(t) = 0.5 * t**1000 overflows a Python float on the first price bracket
-OVERFLOWING = RUNNING.replace(
-    "kind: piecewise_linear\n  l: 0.5\n  k: 2.0\n  w: 1.0",
-    "kind: power\n  alpha: 0.5\n  gamma: 1000",
-)
+# the worked instance in cents: phi(t) = 0.5 * t**1000 overflows a double
+# inside the price bracket, and at prices in the thousands no double meets
+# the pricing equation's residual tolerance
+OVERFLOWING = """
+alternatives:
+  - {id: A, u: 1000, v: 1000, c: 500}
+  - {id: B, u: 800, v: 1400, c: 500}
+  - {id: C, u: 200, v: 1600, c: 500}
+cost_function:
+  kind: power
+  alpha: 0.5
+  gamma: 1000
+"""
 
 
 @pytest.fixture
@@ -198,5 +206,5 @@ def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
     )
     assert proc.returncode == EXIT_SOLVER, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
-    assert proc.stderr.startswith("solver failure: OverflowError")
+    assert proc.stderr.startswith("solver failure: BracketFailure: indulging price of B")
     assert proc.stderr.count("\n") == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from temptmenu import AssumptionViolated, GridSpec, PowerCost
+from temptmenu import AssumptionViolated, GridSpec, PowerCost, ProblemInstance
 from temptmenu.instancefile import (
     InstanceDocument,
     InstanceFileError,
@@ -99,3 +99,12 @@ def test_load_instance_from_disk(tmp_path):
     path.write_text(RUNNING, encoding="utf-8")
     doc = load_instance(str(path))
     assert doc.instance == running_instance()
+
+
+def test_dump_writes_kind_then_fields_in_order():
+    inst = parse_instance(RUNNING).instance
+    assert "cost_function:\n  kind: piecewise_linear\n  l: 0.5\n  k: 2.0\n  w: 1.0\n" in (
+        dump_instance(inst)
+    )
+    power = ProblemInstance(inst.alternatives, PowerCost(alpha=1.5, gamma=3.0))
+    assert "cost_function:\n  kind: power\n  alpha: 1.5\n  gamma: 3.0\n" in dump_instance(power)

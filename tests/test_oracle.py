@@ -346,7 +346,6 @@ def _wrong_estimate(kind, step):
 
 
 def _subset_results(inst, prices, mode):
-    cost = inst.cost_fn.kernel_params()
     alts = inst.alternatives
     return [
         _kernels.search_subset(
@@ -354,7 +353,7 @@ def _subset_results(inst, prices, mode):
             tuple(alts[i].v for i in subset),
             tuple(alts[i].c for i in subset),
             [prices[i] for i in subset],
-            cost,
+            inst.cost_fn,
             CHOICE_TIE_TOL,
             mode,
         )

@@ -1,5 +1,8 @@
 """Analytic constructions: closed forms, root-finding, optimality, regimes."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,9 @@ from temptmenu import (
     perceived_choice,
     piecewise_closed_forms,
     solve_monotone_price,
+    verify_solution,
 )
-from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price
+from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price, psi_root
 from helpers import perturbed_instance, random_pw_instance, running_instance, with_power_cost
 
 P_DECOY = 32.5 / 3
@@ -155,7 +159,7 @@ def test_compromising_constraints_bind(running):
 
 
 def test_solve_monotone_price_identity():
-    assert solve_monotone_price(lambda p: p - 8.0, 0.0, 1.0) == pytest.approx(8.0, abs=1e-10)
+    assert solve_monotone_price(lambda p: p - 8.0, 0.0, 16.0) == 8.0
 
 
 def test_solve_monotone_price_matches_closed_forms():
@@ -174,7 +178,10 @@ def test_solve_monotone_price_matches_closed_forms():
 
 def test_solve_monotone_price_bracket_failure():
     with pytest.raises(BracketFailure):
-        solve_monotone_price(lambda p: 1.0, 0.0, 1.0, max_expansions=5)
+        solve_monotone_price(lambda p: 1.0, 0.0, 1.0)
+    # a bracket that misses the root is not widened
+    with pytest.raises(BracketFailure, match="no sign change"):
+        solve_monotone_price(lambda p: p - 8.0, 0.0, 1.0)
 
 
 # -- closed forms vs root finder -------------------------------------------------
@@ -463,15 +470,160 @@ def test_optimal_contract_equals_design_by_design_reference(method):
 
 
 def test_first_failure_is_the_design_by_design_one():
-    # Pricing B's indulging offer stalls; solving the decoy C would
-    # overflow.  Walking the products in order meets B first.
-    alts = running_instance().alternatives
+    # At prices in the hundreds, gamma = 300 makes phi's slope so steep
+    # that no double meets the absolute residual tolerance, for B and C
+    # alike.  Walking the products in order meets B first.
+    alts = tuple(
+        Alternative(a.id, 100.0 * a.u, 100.0 * a.v, 100.0 * a.c)
+        for a in running_instance().alternatives
+    )
     inst = ProblemInstance(alts, PowerCost(alpha=0.5, gamma=300.0))
     with pytest.raises(BracketFailure) as err:
         optimal_contract(inst)
-    assert type(err.value) is BracketFailure
-    assert str(err.value) == "bisection stalled above tolerance 1e-10"
+    assert str(err.value).startswith("indulging price of B: residual ")
+    assert str(err.value).endswith(" exceeds tol 1e-10")
     # with the decoy first, its solve is the first one reached
     reordered = ProblemInstance((alts[2], alts[0], alts[1]), inst.cost_fn)
-    with pytest.raises(OverflowError):
+    with pytest.raises(BracketFailure, match=r"^decoy price of C: residual "):
         optimal_contract(reordered)
+
+
+def test_bracket_failure_names_the_decoy_design():
+    # B's own indulging price meets the tolerance; the decoy C's does not
+    alts = tuple(
+        Alternative(i, 20.0 * u, 20.0 * v, 20.0 * c)
+        for i, u, v, c in (("A", 10.0, 10.0, 5.0), ("B", 8.0, 8.5, 5.0), ("C", 2.0, 16.0, 5.0))
+    )
+    inst = ProblemInstance(alts, PowerCost(alpha=0.5, gamma=300.0))
+    assert indulging_contract(alts[1], inst).residuals[0] <= 1e-10
+    with pytest.raises(BracketFailure, match=r"^decoy price of C: residual .* exceeds tol 1e-10$"):
+        optimal_contract(inst)
+
+
+# -- psi-space pricing ----------------------------------------------------------------
+
+
+def _decimal_psi_root(cost, y, start):
+    """Root of ``t + alpha * t**gamma = y`` to 50 digits, by Newton from ``start``.
+
+    ``psi`` is increasing and convex, so Newton converges to its only root
+    from any positive start; the loop stops once a step is negligible.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, g, y = Decimal(cost.alpha), Decimal(cost.gamma), Decimal(y)
+        t = Decimal(start) if start > 0.0 else y
+        for _ in range(200):
+            step = (t + a * t**g - y) / (1 + a * g * t ** (g - 1))
+            t -= step
+            if abs(step) <= t * Decimal("1e-45"):
+                return t
+    raise AssertionError("Newton did not converge")
+
+
+def _psi_power_instances():
+    rng = np.random.default_rng(61)
+    insts = [
+        with_power_cost(random_pw_instance(rng), float(rng.uniform(0.1, 3.0)), gamma)
+        for gamma in [1.0, 1.5, 2.0, 6.0] + [float(g) for g in rng.uniform(1.0, 6.0, 26)]
+    ]
+    alts = running_instance().alternatives
+    return insts + [ProblemInstance(alts, PowerCost(0.5, g)) for g in (60.0, 100.0)]
+
+
+def test_psi_root_within_two_ulps_of_a_decimal_root():
+    checked = 0
+    for inst in _psi_power_instances():
+        bait, decoy = inst.least_tempting, inst.most_tempting
+        gaps = {x.e - bait.e for x in inst.alternatives} | {
+            decoy.e - x.e for x in inst.alternatives
+        }
+        for y in gaps:
+            t = psi_root(inst.cost_fn, y)
+            if y <= 0.0:
+                assert t == 0.0
+                continue
+            exact = _decimal_psi_root(inst.cost_fn, y, t)
+            assert abs(Decimal(t) - exact) <= 2 * Decimal(math.ulp(float(exact))), (inst.cost_fn, y)
+            checked += 1
+    assert checked > 200
+
+
+def test_bisected_prices_meet_the_tolerance():
+    for inst in _psi_power_instances():
+        for x in inst.alternatives:
+            assert max(best_contract_for(x, inst).residuals, default=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [60.0, 100.0, 300.0, 1000.0])
+def test_large_gamma_worked_instance_solves(gamma):
+    inst = ProblemInstance(running_instance().alternatives, PowerCost(0.5, gamma))
+    sol = optimal_contract(inst)
+    assert (sol.sold.id, sol.kind) == ("C", ContractKind.INDULGING)
+    assert verify_solution(sol, inst).passed
+
+
+# -- metamorphic properties -----------------------------------------------------------
+
+
+def _record(sol):
+    return (
+        sol.sold.id,
+        sol.kind,
+        tuple((o.alternative.id, o.price) for o in sol.contract.offers),
+        sol.profit,
+        sol.welfare,
+    )
+
+
+def _generic_pw_instances():
+    rng = np.random.default_rng(67)
+    insts = [running_instance(w) for w in (0.0, 1.0, 6.0, 20.0)] + [perturbed_instance(7.0)]
+    return insts + [random_pw_instance(rng) for _ in range(40)]
+
+
+@pytest.mark.parametrize("k", [-3, 1, 7])
+def test_power_of_two_scaling_is_exact(k):
+    s = 2.0**k
+    for inst in _generic_pw_instances():
+        cost = inst.cost_fn
+        scaled = ProblemInstance(
+            tuple(Alternative(a.id, s * a.u, s * a.v, s * a.c) for a in inst.alternatives),
+            PiecewiseLinearCost(cost.l, cost.k, s * cost.w),
+        )
+        sold, kind, offers, profit, welfare = _record(optimal_contract(inst))
+        assert _record(optimal_contract(scaled)) == (
+            sold, kind, tuple((i, s * p) for i, p in offers), s * profit, s * welfare,
+        )
+
+
+def test_permuting_alternatives_keeps_the_optimum():
+    rng = np.random.default_rng(71)
+    for inst in _generic_pw_instances()[5:]:
+        sol = optimal_contract(inst)
+        for _ in range(3):
+            order = rng.permutation(len(inst))
+            permuted = ProblemInstance(
+                tuple(inst.alternatives[i] for i in order), inst.cost_fn
+            )
+            other = optimal_contract(permuted)
+            assert (other.sold.id, other.kind) == (sol.sold.id, sol.kind)
+            assert other.contract.intended_offer.price == sol.contract.intended_offer.price
+            assert other.profit == sol.profit
+
+
+def test_shifting_one_alternative_shifts_its_prices():
+    rng = np.random.default_rng(73)
+    for inst in _generic_pw_instances()[5:25]:
+        sol = optimal_contract(inst)
+        for i, a in enumerate(inst.alternatives):
+            d = float(rng.uniform(-3.0, 3.0))
+            alts = list(inst.alternatives)
+            alts[i] = Alternative(a.id, a.u + d, a.v + d, a.c + d)
+            shifted = optimal_contract(ProblemInstance(tuple(alts), inst.cost_fn))
+            assert (shifted.sold.id, shifted.kind) == (sol.sold.id, sol.kind)
+            assert shifted.profit == pytest.approx(sol.profit, abs=1e-9)
+            for o, p in zip(shifted.contract.offers, sol.contract.offers):
+                assert o.alternative.id == p.alternative.id
+                moved = d if o.alternative.id == a.id else 0.0
+                assert o.price == pytest.approx(p.price + moved, abs=1e-9)

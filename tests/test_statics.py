@@ -4,8 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from temptmenu import ContractKind, classify_willpower_regime, contract_curve, sweep_willpower
-from temptmenu import solver, statics
+from temptmenu import (
+    ContractKind,
+    classify_willpower_regime,
+    contract_curve,
+    optimal_contract,
+    sweep_willpower,
+)
+from temptmenu import model, solver, statics
 from helpers import (
     four_product_instance,
     perturbed_instance,
@@ -49,8 +55,8 @@ def test_sweep_solves_each_point_once_and_classifies_once(monkeypatch):
     monkeypatch.setattr(solver, "optimal_contract", solve)
     monkeypatch.setattr(statics, "optimal_contract", solve)
     monkeypatch.setattr(
-        statics, "classify_willpower_regime",
-        counting("classify", solver.classify_willpower_regime),
+        statics, "_regime_thresholds",
+        counting("classify", solver._regime_thresholds),
     )
     records = sweep_willpower(inst, [0.5 * i for i in range(25)])
     assert {r.case_index for r in records} == {1, 2, 3, 4}
@@ -139,3 +145,42 @@ def test_grid_validation(running):
 def test_power_cost_rejected(running):
     with pytest.raises(ValueError, match="piecewise"):
         sweep_willpower(with_power_cost(running), [0.0, 1.0])
+
+
+def test_sweep_solves_each_point_once_in_willpower_range_2(monkeypatch):
+    inst = four_product_instance(w=6.0)  # own willpower in range 2
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args[0].cost_fn.w)
+        return optimal_contract(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "optimal_contract", solve)
+    monkeypatch.setattr(statics, "optimal_contract", solve)
+    records = sweep_willpower(inst, [0.5 * i for i in range(25)])
+    assert calls == [r.w for r in records]
+
+
+def test_sweep_scans_the_roles_once(monkeypatch):
+    calls = []
+    scan = model._unique_extremum
+
+    def spy(*args):
+        calls.append(args[-1])
+        return scan(*args)
+
+    monkeypatch.setattr(model, "_unique_extremum", spy)
+    records = sweep_willpower(four_product_instance(w=6.0), [0.5 * i for i in range(25)])
+    assert len(records) > 25
+    assert len(calls) == 4  # the validation of the instance itself
+
+
+def test_sweep_records_equal_solving_each_point_on_its_own():
+    for inst in (four_product_instance(w=6.0), perturbed_instance(), running_instance()):
+        records = sweep_willpower(inst, [0.25 * i for i in range(49)])
+        for r in records:
+            sol = optimal_contract(replace(inst, cost_fn=replace(inst.cost_fn, w=r.w)))
+            price = sol.contract.intended_offer.price
+            assert (r.sold_id, r.price, r.profit, r.welfare, r.kind) == (
+                sol.sold.id, price, sol.profit, sol.welfare, sol.kind,
+            )
