@@ -104,12 +104,15 @@ def _print_solution(sol: Solution, fmt: str) -> None:
 )
 @click.option(
     "--tolerance", type=float, default=None,
-    help="Absolute residual tolerance for the implicit price equations "
-         "(overrides the instance file; default 1e-10).",
+    help="Absolute residual tolerance for the implicit price equations, finite "
+         "and > 0 (overrides the instance file; default 1e-10).",
 )
 @click.pass_context
 def main(ctx, fmt, tolerance):
     """Price optimal menus against a consumer with costly self-control."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+        click.echo(f"error: --tolerance must be finite and > 0, got {tolerance!r}", err=True)
+        raise SystemExit(EXIT_INPUT)
     ctx.ensure_object(dict)
     ctx.obj["fmt"] = fmt
     ctx.obj["tolerance"] = tolerance

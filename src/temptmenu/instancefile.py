@@ -25,6 +25,7 @@ errors name the offending key or alternatives.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import get_args
 
@@ -67,6 +68,8 @@ def _number(node: dict, key: str, path: str) -> float:
     value = _get(node, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int past the doubles
+        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -124,6 +127,8 @@ def parse_instance(text: str) -> InstanceDocument:
         solver = _as_map(root["solver"], "solver")
         if "tolerance" in solver:
             tolerance = _number(solver, "tolerance", "solver")
+            if not tolerance > 0.0:
+                _fail("solver.tolerance", f"expected a number > 0, got {tolerance!r}")
         if "grid" in solver and solver["grid"] is not None:
             gnode = _as_map(solver["grid"], "solver.grid")
             kwargs = {
@@ -132,7 +137,10 @@ def parse_instance(text: str) -> InstanceDocument:
                 "price_max": _number(gnode, "price_max", "solver.grid"),
             }
             if "max_menu_size" in gnode:
-                kwargs["max_menu_size"] = int(_number(gnode, "max_menu_size", "solver.grid"))
+                size = _number(gnode, "max_menu_size", "solver.grid")
+                if not size.is_integer():
+                    _fail("solver.grid.max_menu_size", f"expected an integer, got {size!r}")
+                kwargs["max_menu_size"] = int(size)
             if "include_analytic_prices" in gnode:
                 flag = gnode["include_analytic_prices"]
                 if not isinstance(flag, bool):

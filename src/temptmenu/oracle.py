@@ -15,6 +15,7 @@ reference, and ``bracketed`` the production search that ``auto`` runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
@@ -73,8 +74,9 @@ class GridSpec:
             raise ValueError(
                 f"need price_min < price_max, got [{self.price_min}, {self.price_max}]"
             )
-        if not 1 <= int(self.max_menu_size) <= 3:
-            raise ValueError(f"max_menu_size must be in 1..3, got {self.max_menu_size}")
+        size = self.max_menu_size
+        if not (isinstance(size, numbers.Integral) and 1 <= size <= 3):
+            raise ValueError(f"max_menu_size must be an integer in 1..3, got {size!r}")
         steps = (self.price_max - self.price_min) / self.price_step
         if steps > MAX_GRID_POINTS + 1e-9:
             raise GridTooLarge(
@@ -90,16 +92,14 @@ class GridSpec:
 
 def _analytic_candidates(inst: ProblemInstance, tol: float) -> list[list[float]]:
     """Per-alternative analytic candidate prices, in instance order."""
-    table = _PriceTable(inst, tol, "auto")
+    table = _PriceTable(inst, tol)
     out: list[list[float]] = []
     for x in inst.alternatives:
         cand = [x.u]
         if x.id != table.bait.id:
-            cand.append(table.indulging(x)[0])
+            cand.append(table.indulging(x)[0])  # the decoy's own price, for the decoy
             if x.id != table.decoy.id:
                 cand.append(table.compromise(x)[0])
-        if x.id == table.decoy.id:
-            cand.append(table.decoy_entry[0])
         out.append(cand)
     return out
 

@@ -13,12 +13,12 @@ All three pricing equations are one equation in the resisted gap ``t``,
 ``psi(t) = t + phi(t) = y``, which ``psi_root`` bisects on ``[0, y]`` to
 adjacent doubles; such a price must meet ``PRICE_TOL`` in its own
 equation.  Where the cost family has closed forms (the piecewise-linear
-one), they are the default path, cross-checked against the bisection in
-the test suite.
+one), they replace the bisection; the test suite checks them against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -110,10 +110,6 @@ def _accepted(price: float, g: Callable[[float], float], tol: float, what: str) 
 
 
 # -- closed forms for the piecewise-linear family ---------------------------
-#
-# The shared sub-expressions below are reused verbatim by the regime
-# classifier so that prices predicted from the willpower ranges match the
-# direct construction bit for bit.
 
 
 def _shallow_price(u: float, v: float, e_bait: float, l: float) -> float:
@@ -121,15 +117,10 @@ def _shallow_price(u: float, v: float, e_bait: float, l: float) -> float:
     return (u + l * (v - e_bait)) / (1.0 + l)
 
 
-def _steep_price(u: float, v: float, e_bait: float, k: float) -> float:
-    # willpower-free part of the above-kink compromise price
-    return (u + k * v - k * e_bait) / (1.0 + k)
-
-
 def _pw_self_tempting_price(
     u: float, v: float, e_bait: float, cost: PiecewiseLinearCost
-) -> tuple[float, str]:
-    """Closed-form root of ``p = u + phi(v - p - e_bait)`` with its region.
+) -> float:
+    """Closed-form root of ``p = u + phi(v - p - e_bait)``.
 
     Prices an offer that is itself the most tempting item on the menu
     (the sold offer in an indulging contract, or the decoy).  The root's
@@ -137,97 +128,57 @@ def _pw_self_tempting_price(
     exactly when ``e - e_bait > (1 + l) w``.
     """
     if (v - u) - e_bait <= (1.0 + cost.l) * cost.w:
-        return _shallow_price(u, v, e_bait, cost.l), "shallow"
-    price = (u + cost.k * (v - e_bait - cost.w) + cost.l * cost.w) / (1.0 + cost.k)
-    return price, "steep"
+        return _shallow_price(u, v, e_bait, cost.l)
+    return (u + cost.k * (v - e_bait - cost.w) + cost.l * cost.w) / (1.0 + cost.k)
 
 
 def _pw_compromise_price(
     x: Alternative, e_bait: float, decoy: Alternative, cost: PiecewiseLinearCost
-) -> tuple[float, str]:
-    """Closed-form compromise price of ``x`` with its region.
+) -> float:
+    """Closed-form compromise price of ``x``.
 
     Three regions:
 
-    * ``shallow``: the decoy's gap to the bait fits under the kink, the
-      decoy adds nothing, and the price collapses to the indulging one;
-    * ``mixed``: the decoy sits above the kink but resisting the decoy
-      from ``x`` stays below it; the price falls linearly in willpower;
-    * ``steep``: both gaps are above the kink and willpower drops out.
+    * shallow: the decoy's gap to the bait fits under the kink, the decoy
+      adds nothing, and the price collapses to the indulging one;
+    * mixed: the decoy sits above the kink but resisting the decoy from
+      ``x`` stays below it; the price falls linearly in willpower;
+    * steep: both gaps are above the kink and willpower drops out.
 
     The mixed expression is arranged so that at the region boundary it is
     bit-for-bit equal to the steep one.
     """
     l, k, w = cost.l, cost.k, cost.w
     if decoy.e - e_bait <= (1.0 + l) * w:
-        return _shallow_price(x.u, x.v, e_bait, l), "shallow"
-    steep = _steep_price(x.u, x.v, e_bait, k)
+        return _shallow_price(x.u, x.v, e_bait, l)
+    steep = (x.u + k * x.v - k * e_bait) / (1.0 + k)
     if decoy.e - x.e <= (1.0 + l) * w:
         boundary = (decoy.e - x.e) / (1.0 + l)
-        return steep + (k - l) / (1.0 + k) * (boundary - w), "mixed"
-    return steep, "steep"
-
-
-@dataclass(frozen=True)
-class ClosedFormPrices:
-    """Piecewise-linear closed-form prices for selling ``x``, with regions."""
-
-    indulging_price: float
-    indulging_region: str
-    decoy_price: float
-    decoy_region: str
-    compromise_price: float
-    compromise_region: str
-
-
-def piecewise_closed_forms(x: Alternative, inst: ProblemInstance) -> ClosedFormPrices:
-    """Evaluate the displayed case formulas for every price at once.
-
-    The formulas are evaluated unconditionally (even for ``x`` equal to
-    the bait or the decoy, where the corresponding contract degenerates);
-    applicability is enforced by the contract constructors.
-    """
-    cost = inst.cost_fn
-    if not cost.has_closed_forms:
-        raise ValueError("closed forms exist only for the piecewise-linear cost family")
-    bait_e = inst.least_tempting.e
-    decoy = inst.most_tempting
-    p_ind, r_ind = _pw_self_tempting_price(x.u, x.v, bait_e, cost)
-    p_z, r_z = _pw_self_tempting_price(decoy.u, decoy.v, bait_e, cost)
-    p_comp, r_comp = _pw_compromise_price(x, bait_e, decoy, cost)
-    return ClosedFormPrices(p_ind, r_ind, p_z, r_z, p_comp, r_comp)
+        return steep + (k - l) / (1.0 + k) * (boundary - w)
+    return steep
 
 
 # -- contract constructors ---------------------------------------------------
 
 
-def _resolve_method(method: str, cost: CostFunction) -> str:
-    if method == "auto":
-        return "closed" if cost.has_closed_forms else "bisect"
-    if method not in ("closed", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not cost.has_closed_forms:
-        raise ValueError("closed-form prices exist only for the piecewise-linear family")
-    return method
-
-
 def _self_tempting_price(
-    u: float, v: float, e_bait: float, cost: CostFunction, tol: float, method: str,
+    u: float, v: float, e_bait: float, cost: CostFunction, tol: float,
     what: str = "price",
 ) -> tuple[float, float]:
     """Root of ``p = u + phi(v - p - e_bait)`` and its absolute residual.
 
-    The resisted gap ``t = v - e_bait - p`` at the root solves
-    ``psi(t) = e - e_bait``.  The price is read back as ``v - e_bait - t``
-    rather than the equal ``u + phi(t)``: ``phi`` would scale the error of
-    ``t`` by its slope, which is in the thousands at large ``gamma``.
+    The closed form where the cost family has one; otherwise the resisted
+    gap ``t = v - e_bait - p`` at the root solves ``psi(t) = e - e_bait``.
+    The price is read back as ``v - e_bait - t`` rather than the equal
+    ``u + phi(t)``: ``phi`` would scale the error of ``t`` by its slope,
+    which is in the thousands at large ``gamma``.
     """
 
     def g(p: float) -> float:
         return p - u - cost.phi((v - e_bait) - p)
 
-    if _resolve_method(method, cost) == "closed":
-        price = _pw_self_tempting_price(u, v, e_bait, cost)[0]
+    if cost.has_closed_forms:
+        price = _pw_self_tempting_price(u, v, e_bait, cost)
     else:
         price = _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, tol, what)
     return price, abs(g(price))
@@ -245,21 +196,24 @@ class _PriceTable:
     designs one by one would first reach it, naming the design (indulging,
     decoy or compromise) and the product whose price failed, and a
     non-finite price raises the ``Offer`` error as soon as the design
-    holding it is priced.
+    holding it is priced.  Prices come from the closed forms where the
+    cost family has them (``has_closed_forms``), else from ``psi_root``,
+    and then must meet the residual tolerance ``tol``, a finite number
+    above 0.
     """
 
-    def __init__(self, inst: ProblemInstance, tol: float, method: str):
+    def __init__(self, inst: ProblemInstance, tol: float):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
         self.cost = inst.cost_fn
         self.tol = tol
-        self.method = method
         self.bait = inst.least_tempting
         self.decoy = inst.most_tempting
         self.decoy_is_idle = self.cost.decoy_is_idle(self.decoy.e - self.bait.e)
 
     def _self_tempting(self, x: Alternative, design: str) -> tuple[float, float]:
         return _self_tempting_price(
-            x.u, x.v, self.bait.e, self.cost, self.tol, self.method,
-            f"{design} price of {x.id}",
+            x.u, x.v, self.bait.e, self.cost, self.tol, f"{design} price of {x.id}"
         )
 
     @cached_property
@@ -285,8 +239,8 @@ class _PriceTable:
         def g(p: float) -> float:
             return p - anchor + cost.phi(shift + p)
 
-        if _resolve_method(self.method, cost) == "closed":
-            price = _pw_compromise_price(x, self.bait.e, decoy, cost)[0]
+        if cost.has_closed_forms:
+            price = _pw_compromise_price(x, self.bait.e, decoy, cost)
         else:
             price = psi_root(cost, decoy.e - x.e) - shift
             price = _accepted(price, g, self.tol, f"compromise price of {x.id}")
@@ -353,11 +307,7 @@ def commitment_contract(x: Alternative) -> Solution:
 
 
 def indulging_contract(
-    x: Alternative,
-    inst: ProblemInstance,
-    *,
-    tol: float = PRICE_TOL,
-    method: str = "auto",
+    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
 ) -> Solution:
     """Sell ``x`` above its utility value next to a bait priced at cost-of-entry.
 
@@ -366,30 +316,24 @@ def indulging_contract(
     case: if ``x`` is the bait itself the construction collapses and the
     commitment solution is returned instead (flagged by its kind).
     """
-    table = _PriceTable(inst, tol, method)
+    table = _PriceTable(inst, tol)
     if x.id == table.bait.id:
         return commitment_contract(x)
     return _solution(x, ContractKind.INDULGING, table.indulging(x), table)
 
 
-def decoy_price(
-    inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
-) -> float:
+def decoy_price(inst: ProblemInstance, *, tol: float = PRICE_TOL) -> float:
     """Price of the most tempting alternative pinned by the bait's free entry.
 
     Unique root of ``p = u + phi(v - p - e_bait)`` for the most tempting
     alternative; in a compromising menu it is never consumed, it only
     raises everyone else's self-control bill.
     """
-    return _PriceTable(inst, tol, method).decoy_entry[0]
+    return _PriceTable(inst, tol).decoy_entry[0]
 
 
 def compromising_contract(
-    x: Alternative,
-    inst: ProblemInstance,
-    *,
-    tol: float = PRICE_TOL,
-    method: str = "auto",
+    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
 ) -> Solution:
     """Sell ``x`` flanked by the bait and a maximally tempting decoy.
 
@@ -398,7 +342,7 @@ def compromising_contract(
     ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``.
     All participation and choice constraints bind at the returned prices.
     """
-    table = _PriceTable(inst, tol, method)
+    table = _PriceTable(inst, tol)
     if x.id in (table.bait.id, table.decoy.id):
         raise NotCompromisable(
             f"cannot build a three-offer menu selling {x.id}: it already plays "
@@ -408,11 +352,7 @@ def compromising_contract(
 
 
 def best_contract_for(
-    x: Alternative,
-    inst: ProblemInstance,
-    *,
-    tol: float = PRICE_TOL,
-    method: str = "auto",
+    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
 ) -> Solution:
     """Max-profit design for selling ``x``, skipping degenerate constructions.
 
@@ -420,28 +360,31 @@ def best_contract_for(
     (within ``REVENUE_TIE_TOL``) and the decoy is genuinely idle, the
     indulging one is reported.
     """
-    table = _PriceTable(inst, tol, method)
+    table = _PriceTable(inst, tol)
     _, kind, entry = _best_design(x, table)
     return _solution(x, kind, entry, table)
 
 
-def optimal_contract(
-    inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
-) -> Solution:
-    """Profit-maximizing contract over all products; ties go to the lowest index.
-
-    Every product's designs are priced from one price table, and only the
-    winner is built into a contract.
-    """
-    table = _PriceTable(inst, tol, method)
+def _optimal(inst: ProblemInstance, table: _PriceTable) -> tuple[Alternative, _Design]:
+    """The product to sell and its best design; ties go to the lowest index."""
     best_x, best = None, None
     for x in inst.alternatives:
         design = _best_design(x, table)
         if best is None or design[0] > best[0]:
             best_x, best = x, design
     assert best_x is not None
-    _, kind, entry = best
-    return _solution(best_x, kind, entry, table)
+    return best_x, best
+
+
+def optimal_contract(inst: ProblemInstance, *, tol: float = PRICE_TOL) -> Solution:
+    """Profit-maximizing contract over all products; ties go to the lowest index.
+
+    Every product's designs are priced from one price table, and only the
+    winner is built into a contract.
+    """
+    table = _PriceTable(inst, tol)
+    x, (_, kind, entry) = _optimal(inst, table)
+    return _solution(x, kind, entry, table)
 
 
 # -- willpower-regime classification ----------------------------------------
@@ -517,34 +460,26 @@ def _regime_thresholds(
 
 
 def classify_willpower_regime(
-    inst: ProblemInstance, *, tol: float = PRICE_TOL, method: str = "auto"
+    inst: ProblemInstance, *, tol: float = PRICE_TOL
 ) -> WillpowerRegime:
     """Which product the optimal contract sells, read off the willpower ranges.
 
-    Case 2 (willpower strictly between the steep and shallow product
-    thresholds) has no closed form; the prediction there simply reports
-    the direct maximization.  Prices in cases 1, 3 and 4 reuse the exact
-    closed-form expressions of the constructors, so agreement with
-    ``optimal_contract`` is exact rather than merely within tolerance.
+    The range names the product sold: the steep-regime product in case 1,
+    the shallow-regime one in cases 3 and 4.  Its price and contract kind
+    are then read from the solver's own price table by the solver's own
+    rule, so they equal ``optimal_contract``'s exactly, also when that
+    product is the bait (sold by commitment) or the decoy (which cannot
+    be compromised).  Case 2 (willpower strictly between the steep and
+    shallow product thresholds) has no closed form; the prediction there
+    is the direct maximization over the same table.
     """
     steep, shallow, thresholds = _regime_thresholds(inst)
-    cost = inst.cost_fn
-    bait = inst.least_tempting
-    decoy = inst.most_tempting
-    case = _case_index(cost.w, thresholds)
-    if case == 1:
-        sold = steep
-        price = _steep_price(steep.u, steep.v, bait.e, cost.k)
-        kind = ContractKind.COMPROMISING
-    elif case == 2:
-        sol = optimal_contract(inst, tol=tol, method=method)
-        sold, price, kind = sol.sold, sol.contract.intended_offer.price, sol.kind
-    elif case == 3:
-        sold = shallow
-        price = _pw_compromise_price(shallow, bait.e, decoy, cost)[0]
-        kind = ContractKind.COMPROMISING
+    case = _case_index(inst.cost_fn.w, thresholds)
+    table = _PriceTable(inst, tol)
+    if case == 2:
+        sold, (_, kind, entry) = _optimal(inst, table)
     else:
-        sold = shallow
-        price = _shallow_price(shallow.u, shallow.v, bait.e, cost.l)
-        kind = ContractKind.INDULGING
+        sold = steep if case == 1 else shallow
+        _, kind, entry = _best_design(sold, table)
+    price = sold.u if entry is None else entry[0]
     return WillpowerRegime(case, sold, price, kind, thresholds, steep, shallow)

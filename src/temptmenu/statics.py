@@ -35,11 +35,7 @@ class SweepRecord:
 
 
 def sweep_willpower(
-    inst: ProblemInstance,
-    w_grid: Sequence[float],
-    *,
-    tol: float = PRICE_TOL,
-    method: str = "auto",
+    inst: ProblemInstance, w_grid: Sequence[float], *, tol: float = PRICE_TOL
 ) -> list[SweepRecord]:
     """Optimal contract at each willpower level of a strictly increasing grid.
 
@@ -65,7 +61,7 @@ def sweep_willpower(
     )
     records = []
     for w in points:
-        sol = optimal_contract(inst._with_cost(replace(cost, w=w)), tol=tol, method=method)
+        sol = optimal_contract(inst._with_cost(replace(cost, w=w)), tol=tol)
         case = _case_index(w, thresholds)
         price = sol.contract.intended_offer.price
         records.append(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from temptmenu import (
@@ -105,3 +107,25 @@ def random_pw_instance(
 
 def with_power_cost(inst: ProblemInstance, alpha: float = 1.0, gamma: float = 2.0):
     return ProblemInstance(inst.alternatives, PowerCost(alpha=alpha, gamma=gamma))
+
+
+class BisectedPiecewiseCost(PiecewiseLinearCost):
+    """The piecewise-linear cost with its closed forms hidden from the solver.
+
+    Every price of an instance holding it comes from the production
+    psi-bisection on the piecewise ``phi``: the reference the closed forms
+    are checked against.
+    """
+
+    has_closed_forms = False
+
+
+def bisecting(inst: ProblemInstance) -> ProblemInstance:
+    """``inst`` priced by the psi-bisection alone.
+
+    A piecewise cost becomes a ``BisectedPiecewiseCost``; a family without
+    closed forms bisects already, so its instance is returned as it is.
+    """
+    if not inst.cost_fn.has_closed_forms:
+        return inst
+    return ProblemInstance(inst.alternatives, BisectedPiecewiseCost(**asdict(inst.cost_fn)))

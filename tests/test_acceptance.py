@@ -22,10 +22,9 @@ from temptmenu import (
     indulging_contract,
     optimal_contract,
     overall_utilities,
-    piecewise_closed_forms,
     sweep_willpower,
 )
-from helpers import random_pw_instance, running_instance, with_power_cost
+from helpers import bisecting, random_pw_instance, running_instance, with_power_cost
 
 P_DECOY = 32.5 / 3
 
@@ -99,27 +98,25 @@ def test_criterion_3_closed_forms_match_bisection(population):
     start = time.perf_counter()
     worst = 0.0
     for inst in population:
+        ref = bisecting(inst)
         bait, decoy = inst.least_tempting, inst.most_tempting
-        worst = max(
-            worst,
-            abs(
-                piecewise_closed_forms(decoy, inst).decoy_price
-                - decoy_price(inst, method="bisect")
-            ),
-        )
+        worst = max(worst, abs(decoy_price(inst) - decoy_price(ref)))
         for x in inst.alternatives:
             if x.id == bait.id:
                 continue
-            forms = piecewise_closed_forms(x, inst)
-            ind = indulging_contract(x, inst, method="bisect")
+            ind = indulging_contract(x, inst)
+            ind_ref = indulging_contract(x, ref)
             worst = max(
-                worst, abs(forms.indulging_price - ind.contract.offers[0].price)
+                worst,
+                abs(ind.contract.offers[0].price - ind_ref.contract.offers[0].price),
             )
             if x.id == decoy.id:
                 continue
-            comp = compromising_contract(x, inst, method="bisect")
+            comp = compromising_contract(x, inst)
+            comp_ref = compromising_contract(x, ref)
             worst = max(
-                worst, abs(forms.compromise_price - comp.contract.offers[0].price)
+                worst,
+                abs(comp.contract.offers[0].price - comp_ref.contract.offers[0].price),
             )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0

@@ -98,6 +98,18 @@ def test_classify_text_and_json(instance_file):
     assert payload["thresholds"] == pytest.approx([8 / 1.5, 14 / 1.5, 14 / 1.5])
 
 
+def test_classify_reports_the_kind_that_solve_sells(tmp_path):
+    # willpower range 4 predicts the tied shallow product A, which is the
+    # bait: the solver sells it alone, by commitment
+    path = tmp_path / "w10.yaml"
+    path.write_text(RUNNING.replace("w: 1.0", "w: 10.0"), encoding="utf-8")
+    classified = json.loads(run("--format", "json", "classify", str(path)).output)
+    solved = json.loads(run("--format", "json", "solve", str(path)).output)
+    assert classified["case"] == 4
+    assert (classified["sold"], classified["kind"]) == (solved["sold"], solved["kind"])
+    assert classified["kind"] == "commitment"
+
+
 def test_sweep_csv_rows_and_injection(instance_file):
     result = run("sweep", instance_file, "--w-from", "0", "--w-to", "12",
                  "--w-steps", "13")
@@ -191,6 +203,29 @@ def test_verify_loose_lower_bound_at_coarse_step(instance_file):
 def test_tolerance_flag_accepted(instance_file):
     result = run("--tolerance", "1e-8", "solve", instance_file)
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("tol", ("nan", "inf", "0", "-1"))
+def test_bad_tolerance_flag_is_a_one_line_input_error(instance_file, tol):
+    result = run("--tolerance", tol, "solve", instance_file)
+    assert result.exit_code == 1
+    assert result.output.startswith("error: --tolerance must be finite and > 0")
+    assert result.output.count("\n") == 1
+
+
+def test_nan_tolerance_in_file_no_longer_disables_the_residual_check(tmp_path):
+    # at this scale no double meets the default tolerance (exit 2); a nan
+    # tolerance used to accept the price with a residual of 1.7e-9
+    path = tmp_path / "steep.yaml"
+    path.write_text(
+        RUNNING.split("cost_function:")[0]
+        + "cost_function: {kind: power, alpha: 1.0e+12, gamma: 2.0}\n"
+        + "solver: {tolerance: .nan}\n",
+        encoding="utf-8",
+    )
+    result = run("solve", str(path))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: solver.tolerance: expected a finite number")
 
 
 @pytest.mark.parametrize("args", (["solve"], ["verify", "--step", "0.5"]))

@@ -83,6 +83,27 @@ def test_non_numeric_field():
         parse_instance(RUNNING.replace("u: 10", "u: ten"))
 
 
+@pytest.mark.parametrize(
+    "value", (".nan", ".inf", "-.inf", "1" + "0" * 400), ids=("nan", "inf", "-inf", "huge-int")
+)
+def test_non_finite_number_names_its_key(value):
+    with pytest.raises(InstanceFileError, match=r"^alternatives\[0\]\.u: expected a finite"):
+        parse_instance(RUNNING.replace("u: 10", f"u: {value}", 1))
+
+
+@pytest.mark.parametrize("value", (".nan", "0", "-1"))
+def test_bad_tolerance_names_its_key(value):
+    with pytest.raises(InstanceFileError, match=r"^solver\.tolerance: "):
+        parse_instance(RUNNING + f"solver:\n  tolerance: {value}\n")
+
+
+def test_menu_size_must_be_an_integer():
+    grid = "solver:\n  grid: {price_step: 0.5, price_min: 0, price_max: 15, max_menu_size: %s}\n"
+    with pytest.raises(InstanceFileError, match=r"^solver\.grid\.max_menu_size: "):
+        parse_instance(RUNNING + grid % "2.5")
+    assert parse_instance(RUNNING + grid % "2").grid.max_menu_size == 2
+
+
 def test_bad_cost_parameters_are_flagged():
     with pytest.raises(InstanceFileError, match="k > 1 > l > 0"):
         parse_instance(RUNNING.replace("k: 2.0", "k: 0.9"))

@@ -55,6 +55,13 @@ def test_grid_spec_validation():
         GridSpec(price_step=1e-4, price_min=0.0, price_max=20.0)
 
 
+def test_grid_spec_menu_size_must_be_an_integer():
+    with pytest.raises(ValueError, match="max_menu_size must be an integer in 1..3"):
+        GridSpec(price_step=0.5, price_min=0.0, price_max=1.0, max_menu_size=2.0)
+    grid = GridSpec(price_step=0.5, price_min=0.0, price_max=1.0, max_menu_size=np.int64(2))
+    assert grid.max_menu_size == 2
+
+
 def test_grid_points_are_decimal_exact():
     grid = GridSpec(price_step=0.01, price_min=0.0, price_max=20.0)
     pts = grid.base_points()
@@ -156,8 +163,8 @@ def test_analytic_candidates_equal_the_public_constructors():
                 cand.append(indulging_contract(x, inst).contract.offers[0].price)
                 if x.id != decoy.id:
                     cand.append(compromising_contract(x, inst).contract.offers[0].price)
-            if x.id == decoy.id:
-                cand.append(decoy_price(inst))
+                else:  # the decoy's indulging price is the decoy price, listed once
+                    assert cand[-1] == decoy_price(inst)
             expected.append(cand)
         assert oracle._analytic_candidates(inst, PRICE_TOL) == expected
 

@@ -1,6 +1,7 @@
 """Analytic constructions: closed forms, root-finding, optimality, regimes."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -25,12 +26,18 @@ from temptmenu import (
     optimal_contract,
     overall_utilities,
     perceived_choice,
-    piecewise_closed_forms,
     solve_monotone_price,
     verify_solution,
 )
 from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price, psi_root
-from helpers import perturbed_instance, random_pw_instance, running_instance, with_power_cost
+from helpers import (
+    BisectedPiecewiseCost,
+    bisecting,
+    perturbed_instance,
+    random_pw_instance,
+    running_instance,
+    with_power_cost,
+)
 
 P_DECOY = 32.5 / 3
 
@@ -72,7 +79,8 @@ def test_indulging_steep_region():
     inst = running_instance(w=1.0)
     sol = indulging_contract(by_id(inst, "B"), inst)
     assert sol.contract.offers[0].price == pytest.approx(11.5, abs=1e-12)
-    price, residual = _self_tempting_price(8.0, 14.0, 0.0, inst.cost_fn, 1e-10, "bisect")
+    bisected = BisectedPiecewiseCost(0.5, 2.0, 1.0)
+    price, residual = _self_tempting_price(8.0, 14.0, 0.0, bisected, 1e-10)
     assert price == pytest.approx(11.5, abs=1e-9)
     assert residual <= 1e-10
 
@@ -86,7 +94,7 @@ def test_indulging_degenerates_to_commitment_for_bait():
 
 def test_indulging_price_reduces_to_utility_when_gap_zero():
     # equal excess temptations collapse the self-control term at the root
-    price, residual = _self_tempting_price(7.0, 9.0, 2.0, PiecewiseLinearCost(0.5, 2.0, 1.0), 1e-10, "closed")
+    price, residual = _self_tempting_price(7.0, 9.0, 2.0, PiecewiseLinearCost(0.5, 2.0, 1.0), 1e-10)
     assert price == pytest.approx(7.0, abs=1e-12)
     assert residual <= 1e-12
 
@@ -189,48 +197,54 @@ def test_solve_monotone_price_bracket_failure():
 
 def test_piecewise_closed_forms_running_instance():
     inst = running_instance(w=1.0)
-    forms = piecewise_closed_forms(by_id(inst, "B"), inst)
-    assert forms.indulging_price == pytest.approx(11.5, abs=1e-12)
-    assert forms.decoy_price == pytest.approx(P_DECOY, abs=1e-12)
-    assert forms.compromise_price == pytest.approx(12.0, abs=1e-12)
-    assert (forms.indulging_region, forms.decoy_region, forms.compromise_region) == (
-        "steep", "steep", "steep",
+    b = by_id(inst, "B")
+    assert indulging_contract(b, inst).contract.offers[0].price == pytest.approx(11.5, abs=1e-12)
+    assert decoy_price(inst) == pytest.approx(P_DECOY, abs=1e-12)
+    assert compromising_contract(b, inst).contract.offers[0].price == pytest.approx(
+        12.0, abs=1e-12
     )
     wide = running_instance(w=12.0)
-    forms = piecewise_closed_forms(by_id(wide, "B"), wide)
-    assert forms.indulging_price == pytest.approx(10.0, abs=1e-12)
-    assert forms.indulging_region == "shallow"
+    assert indulging_contract(by_id(wide, "B"), wide).contract.offers[0].price == pytest.approx(
+        10.0, abs=1e-12
+    )
 
 
 def test_equal_revenue_when_willpower_exhausts_temptation():
     # decoy idle: compromising collapses onto the indulging price exactly
     inst = running_instance(w=1e6)
-    forms = piecewise_closed_forms(by_id(inst, "B"), inst)
-    assert forms.compromise_region == "shallow"
-    assert forms.compromise_price == forms.indulging_price
-    assert abs(forms.compromise_price - 10.0) < 1e-10
+    b = by_id(inst, "B")
+    comp_price = compromising_contract(b, inst).contract.offers[0].price
+    assert comp_price == indulging_contract(b, inst).contract.offers[0].price
+    assert abs(comp_price - 10.0) < 1e-10
 
 
 def test_closed_forms_match_bisection_on_random_instances():
     rng = np.random.default_rng(7)
     for _ in range(20):
         inst = random_pw_instance(rng)
+        ref = bisecting(inst)
         bait, decoy = inst.least_tempting, inst.most_tempting
         for x in inst.alternatives:
-            forms = piecewise_closed_forms(x, inst)
             if x.id != bait.id:
-                ind = indulging_contract(x, inst, method="bisect")
-                assert forms.indulging_price == pytest.approx(
-                    ind.contract.offers[0].price, abs=1e-8
-                )
+                closed = indulging_contract(x, inst).contract.offers[0].price
+                bisected = indulging_contract(x, ref).contract.offers[0].price
+                assert closed == pytest.approx(bisected, abs=1e-8)
                 if x.id != decoy.id:
-                    comp = compromising_contract(x, inst, method="bisect")
-                    assert forms.compromise_price == pytest.approx(
-                        comp.contract.offers[0].price, abs=1e-8
-                    )
-        assert forms.decoy_price == pytest.approx(
-            decoy_price(inst, method="bisect"), abs=1e-8
-        )
+                    closed = compromising_contract(x, inst).contract.offers[0].price
+                    bisected = compromising_contract(x, ref).contract.offers[0].price
+                    assert closed == pytest.approx(bisected, abs=1e-8)
+        assert decoy_price(inst) == pytest.approx(decoy_price(ref), abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, 0.0, -1.0))
+def test_bad_tolerance_is_rejected_before_pricing(running, tol):
+    # closed forms never read tol, so a bad one used to pass unnoticed on
+    # the piecewise family; on the power family -1 rejected every price
+    for inst in (running, with_power_cost(running)):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            optimal_contract(inst, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        classify_willpower_regime(running, tol=tol)
 
 
 # -- best contract per product ----------------------------------------------------
@@ -386,11 +400,11 @@ def test_classify_case4(running):
     inst = running_instance(w=10.0)
     reg = classify_willpower_regime(inst)
     assert reg.case_index == 4
-    assert reg.kind is ContractKind.INDULGING
-    # tied shallow products resolve to A, whose indulging sale degenerates
-    # to commitment at its utility value; (sold, price) still agree
+    # tied shallow products resolve to A, the bait, whose indulging sale
+    # degenerates to commitment at its utility value, as the solver sells it
     sol = optimal_contract(inst)
-    assert (reg.sold.id, reg.price) == (sol.sold.id, pytest.approx(10.0, abs=1e-12))
+    assert reg.kind is sol.kind is ContractKind.COMMITMENT
+    assert (reg.sold.id, reg.price) == (sol.sold.id, 10.0)
 
 
 def test_classify_requires_piecewise_cost(running):
@@ -406,6 +420,27 @@ def test_classify_agrees_with_direct_maximization_on_random_instances():
         sol = optimal_contract(inst)
         assert reg.sold.id == sol.sold.id
         assert reg.price == pytest.approx(sol.contract.intended_offer.price, abs=1e-8)
+
+
+def test_classify_equals_optimal_contract_at_every_threshold():
+    # the classifier reads the solver's price table by the solver's rule, so
+    # sold product, kind and price are equal, not merely close, also where
+    # the predicted product is the bait or the decoy
+    rng = np.random.default_rng(43)
+    sold = {"bait": 0, "decoy": 0}
+    for _ in range(300):
+        inst = random_pw_instance(rng)
+        thresholds = classify_willpower_regime(inst).thresholds
+        for w in (inst.cost_fn.w, *thresholds, 0.0):
+            inst_w = inst._with_cost(replace(inst.cost_fn, w=w))
+            reg = classify_willpower_regime(inst_w)
+            sol = optimal_contract(inst_w)
+            assert (reg.sold, reg.kind, reg.price) == (
+                sol.sold, sol.kind, sol.contract.intended_offer.price,
+            )
+            sold["bait"] += sol.sold is inst.least_tempting
+            sold["decoy"] += sol.sold is inst.most_tempting
+    assert min(sold.values()) > 0
 
 
 def test_classify_raises_nothing_on_exact_shallow_tie(running):
@@ -425,18 +460,18 @@ def _decoy_idle(inst):
     return cost.gamma == 1.0
 
 
-def _reference_optimum(inst, method):
+def _reference_optimum(inst):
     """The optimum built design by design from the public constructors."""
     bait, decoy = inst.least_tempting, inst.most_tempting
     best = None
     for x in inst.alternatives:
         sol = commitment_contract(x)
         if x.id != bait.id:
-            ind = indulging_contract(x, inst, method=method)
+            ind = indulging_contract(x, inst)
             if ind.profit > sol.profit:
                 sol = ind
             if x.id != decoy.id:
-                comp = compromising_contract(x, inst, method=method)
+                comp = compromising_contract(x, inst)
                 if comp.profit > sol.profit + REVENUE_TIE_TOL or (
                     comp.profit > sol.profit - REVENUE_TIE_TOL and not _decoy_idle(inst)
                 ):
@@ -463,10 +498,10 @@ def _pinned_instances():
     return insts
 
 
-@pytest.mark.parametrize("method", ["auto", "bisect"])
-def test_optimal_contract_equals_design_by_design_reference(method):
-    for inst in _pinned_instances():
-        assert optimal_contract(inst, method=method) == _reference_optimum(inst, method)
+@pytest.mark.parametrize("priced", [lambda inst: inst, bisecting], ids=["auto", "bisect"])
+def test_optimal_contract_equals_design_by_design_reference(priced):
+    for inst in map(priced, _pinned_instances()):
+        assert optimal_contract(inst) == _reference_optimum(inst)
 
 
 def test_first_failure_is_the_design_by_design_one():
