@@ -192,7 +192,9 @@ def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
                 continue
             cand = np.flatnonzero(profit == local)
             tup = np.empty((m, cand.size), dtype=np.int64)
-            tup[d] = lo[cand]
+            # adjacent prices can round to the same margin: the tie order
+            # wants the lowest such index, which the window also holds at
+            tup[d] = np.searchsorted(Pd - c[d], local, side="left")
             for t, i in zip(others, oidx):
                 tup[t] = i[cand]
             order = np.lexsort(tup[::-1])

@@ -1,9 +1,11 @@
 """Command-line surface: solve, classify, sweep and verify subcommands.
 
-Exit codes: 0 ok, 1 input or validation problem, 2 solver failure
-(including numeric overflow), 3 verification failure.  Numbers print
+Exit codes: 0 ok, 1 input or validation problem, 2 solver failure (a
+bisected price whose residual exceeds the tolerance, as with a steep
+power cost at large money scales, where no double meets it; reported as
+one ``solver failure:`` line), 3 verification failure.  Numbers print
 with 12 significant digits in text and CSV output; JSON carries full
-doubles.
+doubles.  Only ``verify`` runs the grid search, and only it loads numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import sys
 from typing import NoReturn
 
 import click
-import numpy as np
 
 from .instancefile import InstanceDocument, InstanceFileError, load_instance
 from .model import AssumptionViolated
@@ -47,6 +48,25 @@ def _load(path: str) -> InstanceDocument:
     except (InstanceFileError, AssumptionViolated, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_INPUT)
+
+
+def _uniform_grid(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, both included.
+
+    The arithmetic is ``numpy.linspace``'s, so the points are equal (``==``)
+    to ``numpy.linspace(start, stop, num)`` for finite bounds, including a
+    span too small to divide, which numpy scales before multiplying.
+    """
+    div = max(num - 1, 1)
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [start + i / div * delta for i in range(num)]
+    else:
+        points = [start + i * step for i in range(num)]
+    if num > 1:
+        points[-1] = stop
+    return points
 
 
 def _solver_failure(exc: Exception) -> NoReturn:
@@ -173,10 +193,12 @@ def classify(ctx, instance):
 def sweep(ctx, instance, w_from, w_to, w_steps):
     """Sweep willpower and emit the contract curve as CSV on stdout."""
     doc = _load(instance)
-    if w_steps < 0 or w_from < 0 or w_from > w_to:
-        click.echo("error: need 0 <= --w-from <= --w-to and --w-steps >= 0", err=True)
+    finite = math.isfinite(w_from) and math.isfinite(w_to)
+    if not finite or w_steps < 0 or w_from < 0 or w_from > w_to:
+        click.echo("error: need finite 0 <= --w-from <= --w-to and --w-steps >= 0, "
+                   f"got {w_from!r}, {w_to!r} and {w_steps!r}", err=True)
         raise SystemExit(EXIT_INPUT)
-    grid = [float(x) for x in np.linspace(w_from, w_to, w_steps)]
+    grid = _uniform_grid(w_from, w_to, w_steps)
     try:
         records = sweep_willpower(doc.instance, grid, tol=_tolerance(ctx, doc))
     except (BracketFailure, ArithmeticError) as exc:

@@ -38,7 +38,11 @@ class AssumptionViolated(ValueError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest double
+        raise ValueError(f"{name} must be a finite real, got an int too large "
+                         "for a double") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
     return value

@@ -10,6 +10,10 @@ optimum is itself enumerated.
 Two search modes return the identical exact grid optimum (see
 ``_kernels``): ``exhaustive`` is the literal enumeration, kept as the
 reference, and ``bracketed`` the production search that ``auto`` runs.
+
+numpy and ``_kernels`` are imported inside the functions that search, so
+``GridSpec``, ``verify_solution`` and the rest of this module load
+without them.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .model import (
     CHOICE_TIE_TOL,
     Contract,
@@ -35,6 +37,11 @@ from .model import (
     realized_outcome,
 )
 from .solver import PRICE_TOL, Solution, _PriceTable
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import _kernels
 
 MAX_GRID_POINTS = 10_000
 """Desk-scale guard: base grid points per alternative."""
@@ -85,6 +92,7 @@ class GridSpec:
             )
 
     def base_points(self) -> np.ndarray:
+        import numpy as np
         n = int(math.floor((self.price_max - self.price_min) / self.price_step + 1e-9))
         pts = self.price_min + self.price_step * np.arange(n + 1)
         return np.round(pts, 12)
@@ -105,6 +113,7 @@ def _analytic_candidates(inst: ProblemInstance, tol: float) -> list[list[float]]
 
 
 def _price_arrays(inst: ProblemInstance, grid: GridSpec, tol: float) -> list[np.ndarray]:
+    import numpy as np
     base = grid.base_points()
     extras = (
         _analytic_candidates(inst, tol)
@@ -152,6 +161,7 @@ def _best_over_subsets(
     tallies: dict[int, _kernels.Tally],
 ):
     """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
+    from . import _kernels
     alts = inst.alternatives
     best = None
     for size in sizes:
@@ -190,6 +200,7 @@ def grid_best_contract(
     replayed welfare (residuals do not apply and are empty).  With
     ``stats=True`` the result is ``(solution, SearchStats)``.
     """
+    from . import _kernels
     if mode not in ("auto", "exhaustive", "bracketed"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
@@ -247,6 +258,8 @@ def oversize_menu_search(
     profit (0.0 when every such menu is rejected); menus themselves are
     not reported.
     """
+    import numpy as np
+    from . import _kernels
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
     prices = _price_arrays(inst, grid, tol)

@@ -1,16 +1,19 @@
 """End-to-end command-line behavior, exit codes, and output stability."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import temptmenu
-from temptmenu.cli import EXIT_SOLVER, main
+from temptmenu.cli import EXIT_INPUT, EXIT_SOLVER, _uniform_grid, main
 
 RUNNING = """
 alternatives:
@@ -63,6 +66,16 @@ def instance_file(tmp_path):
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def run_child(*argv):
+    """Run a Python child with this checkout's package on its path."""
+    src = str(Path(temptmenu.__file__).resolve().parents[1])
+    path_var = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path_var}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_solve_text(instance_file):
@@ -139,6 +152,50 @@ def test_sweep_empty_range_emits_header_only(instance_file):
 def test_sweep_bad_range_exits_1(instance_file):
     result = run("sweep", instance_file, "--w-from", "5", "--w-to", "1")
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("bound", ("--w-from", "--w-to"))
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_sweep_non_finite_bound_is_a_one_line_input_error(instance_file, bound, value):
+    bounds = {"--w-from": "0", "--w-to": "5", bound: value}
+    proc = run_child("-m", "temptmenu.cli", "sweep", instance_file,
+                     *(arg for item in bounds.items() for arg in item))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: need finite 0 <= --w-from <= --w-to")
+    assert proc.stderr.count("\n") == 1
+
+
+LINSPACE_TABLE = [
+    (a, b, k)
+    for a, b in ((0.0, 12.0), (0.0, 10.0), (2.5, 2.5), (0.0, 0.0), (0.1, 0.7),
+                 (1e-300, 1e-299), (0.0, 5e-324), (0.0, 1e308), (1e308, 1e308),
+                 (3.0, 1.7976931348623157e308))
+    for k in (0, 1, 2, 3, 25)
+]
+
+
+def _random_linspace_cases(count=2000, seed=20260101):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rng.choice((0.0, rng.uniform(0, 10), 10 ** rng.uniform(-320, 300)))
+        b = a + rng.choice((0.0, rng.uniform(0, 10), 10 ** rng.uniform(-320, 300),
+                            rng.uniform(0, 1e308)))
+        yield a, b, rng.choice((0, 1, 2, 25, rng.randrange(2000)))
+
+
+@pytest.mark.parametrize("cases", ("table", "random"))
+def test_sweep_grid_equals_numpy_linspace(cases):
+    cases = LINSPACE_TABLE if cases == "table" else list(_random_linspace_cases())
+    for a, b, k in cases:
+        with np.errstate(over="ignore"):  # numpy's step * (k - 1) can pass 1.8e308
+            expected = [float(x) for x in np.linspace(a, b, k)]
+        grid = _uniform_grid(a, b, k)
+        assert grid == expected, (a, b, k)
+        # the sign of a zero prints in the CSV, so pin it too
+        assert [math.copysign(1.0, x) for x in grid] == [
+            math.copysign(1.0, x) for x in expected
+        ], (a, b, k)
 
 
 def test_validation_failure_exits_1_and_names_culprits(tmp_path):
@@ -232,14 +289,39 @@ def test_nan_tolerance_in_file_no_longer_disables_the_residual_check(tmp_path):
 def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
     path = tmp_path / "overflow.yaml"
     path.write_text(OVERFLOWING, encoding="utf-8")
-    src = str(Path(temptmenu.__file__).resolve().parents[1])
-    path_var = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path_var}
-    proc = subprocess.run(
-        [sys.executable, "-m", "temptmenu.cli", args[0], str(path), *args[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_child("-m", "temptmenu.cli", args[0], str(path), *args[1:])
     assert proc.returncode == EXIT_SOLVER, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stderr.startswith("solver failure: BracketFailure: indulging price of B")
     assert proc.stderr.count("\n") == 1
+
+
+NUMPY_PROBE = """
+import sys
+import {module}
+args = sys.argv[1:]
+if args:
+    from temptmenu.cli import main
+    main(args, standalone_mode=False)
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "module, args, loaded",
+    (
+        ("temptmenu", [], False),
+        ("temptmenu.cli", [], False),
+        ("temptmenu.cli", ["solve"], False),
+        ("temptmenu.cli", ["classify"], False),
+        ("temptmenu.cli", ["sweep", "--w-from", "0", "--w-to", "12"], False),
+        # the grid search does load it, which shows the probe can see it
+        ("temptmenu.cli", ["verify", "--step", "0.5"], True),
+    ),
+    ids=("import-package", "import-cli", "solve", "classify", "sweep", "verify"),
+)
+def test_only_the_grid_search_imports_numpy(instance_file, module, args, loaded):
+    argv = [args[0], instance_file, *args[1:]] if args else []
+    proc = run_child("-c", NUMPY_PROBE.format(module=module), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"numpy loaded: {loaded}"

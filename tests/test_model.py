@@ -114,6 +114,33 @@ def test_cost_parameter_validation():
         PiecewiseLinearCost(l=0.5, k=float("inf"), w=1.0)
 
 
+FINITE_FIELDS = (
+    (Alternative, {"id": "A", "u": 10.0, "v": 10.0, "c": 5.0}),
+    (PiecewiseLinearCost, {"l": 0.5, "k": 2.0, "w": 1.0}),
+    (PowerCost, {"alpha": 1.0, "gamma": 2.0}),
+    (Offer, {"alternative": A, "price": 10.0}),
+)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, name",
+    [
+        pytest.param(cls, kwargs, name, id=f"{cls.__name__}.{name}")
+        for cls, kwargs in FINITE_FIELDS
+        for name, value in kwargs.items()
+        if isinstance(value, float)
+    ],
+)
+@pytest.mark.parametrize(
+    "bad", (10**400, -(10**400), math.inf, math.nan),
+    ids=("huge-int", "huge-negative-int", "inf", "nan"),
+)
+def test_non_finite_field_is_a_value_error_naming_it(cls, kwargs, name, bad):
+    # an int past the largest double must not escape as a raw OverflowError
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real"):
+        cls(**{**kwargs, name: bad})
+
+
 # -- excess temptation --------------------------------------------------------
 
 

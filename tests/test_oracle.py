@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temptmenu import (
@@ -112,6 +112,8 @@ def test_all_paths_agree_on_running_instance(running, mode, analytic):
     w=st.floats(0.0, 12.0),
 )
 @settings(max_examples=25, deadline=None)
+# two injected prices 2 ulps apart round to one margin: the lower index wins
+@example(seed=930, step=0.4, w=0.0)
 def test_modes_and_backends_agree_on_random_instances(seed, step, w):
     rng = np.random.default_rng(seed)
     inst = random_pw_instance(rng, n=3, w=w)
