@@ -1,11 +1,17 @@
 """Command-line surface: solve, classify, sweep and verify subcommands.
 
-Exit codes: 0 ok, 1 input or validation problem, 2 solver failure (a
-bisected price whose residual exceeds the tolerance, as with a steep
-power cost at large money scales, where no double meets it; reported as
-one ``solver failure:`` line), 3 verification failure.  Numbers print
-with 12 significant digits in text and CSV output; JSON carries full
-doubles.  Only ``verify`` runs the grid search, and only it loads numpy.
+Exit codes, all assigned by the command group: 0 ok; 1 input problem, a
+click usage message or one ``error:`` line (unreadable or invalid file,
+tied roles, bad option value, grid too large); 2 solver failure, one
+``solver failure: <Type>: <msg>`` line (``BracketFailure``: a bisected
+price misses the residual tolerance, as with a steep power cost at large
+money scales, where no double meets it; ``OverflowError``: a price past
+the largest double); 3 verification failure.  ``verify`` takes each grid
+field from its flag, else from the file's ``solver.grid``, else from the
+default: step 0.01, from 0 to past every candidate price, and
+``GridSpec``'s menu size and analytic prices.  Numbers print with 12
+significant digits in text and CSV output; JSON carries full doubles.
+Only ``verify`` runs the grid search, and only it loads numpy.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ import csv
 import json
 import math
 import sys
-from typing import NoReturn
+from dataclasses import asdict
 
 import click
 
-from .instancefile import InstanceDocument, InstanceFileError, load_instance
-from .model import AssumptionViolated
-from .oracle import GridSpec, GridTooLarge, grid_best_contract
+from .instancefile import InstanceDocument, load_instance
+from .oracle import GridSpec, grid_best_contract
 from .solver import (
     PRICE_TOL,
     BracketFailure,
@@ -39,15 +44,35 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+class _ExitCodes(click.Group):
+    """The one place where a failure becomes an exit code and one stderr line."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT
+            raise
+        except (BracketFailure, ArithmeticError) as exc:
+            click.echo(f"solver failure: {type(exc).__name__}: {exc}", err=True)
+            raise SystemExit(EXIT_SOLVER)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(EXIT_INPUT)
+
+
 def _load(path: str) -> InstanceDocument:
     try:
         return load_instance(path)
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
-    except (InstanceFileError, AssumptionViolated, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _uniform_grid(start: float, stop: float, num: int) -> list[float]:
@@ -67,12 +92,6 @@ def _uniform_grid(start: float, stop: float, num: int) -> list[float]:
     if num > 1:
         points[-1] = stop
     return points
-
-
-def _solver_failure(exc: Exception) -> NoReturn:
-    """One-line report of a numeric failure (no traceback), exit 2."""
-    click.echo(f"solver failure: {type(exc).__name__}: {exc}", err=True)
-    raise SystemExit(EXIT_SOLVER)
 
 
 def _tolerance(ctx, doc: InstanceDocument) -> float:
@@ -117,7 +136,7 @@ def _print_solution(sol: Solution, fmt: str) -> None:
                    + ", ".join(_fmt(r) for r in sol.residuals))
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     help="Output format for solve/classify/verify.",
@@ -131,8 +150,7 @@ def _print_solution(sol: Solution, fmt: str) -> None:
 def main(ctx, fmt, tolerance):
     """Price optimal menus against a consumer with costly self-control."""
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
-        click.echo(f"error: --tolerance must be finite and > 0, got {tolerance!r}", err=True)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"--tolerance must be finite and > 0, got {tolerance!r}")
     ctx.ensure_object(dict)
     ctx.obj["fmt"] = fmt
     ctx.obj["tolerance"] = tolerance
@@ -144,10 +162,7 @@ def main(ctx, fmt, tolerance):
 def solve(ctx, instance):
     """Compute the profit-maximizing contract for an instance file."""
     doc = _load(instance)
-    try:
-        sol = optimal_contract(doc.instance, tol=_tolerance(ctx, doc))
-    except (BracketFailure, ArithmeticError) as exc:
-        _solver_failure(exc)
+    sol = optimal_contract(doc.instance, tol=_tolerance(ctx, doc))
     _print_solution(sol, ctx.obj["fmt"])
 
 
@@ -157,13 +172,7 @@ def solve(ctx, instance):
 def classify(ctx, instance):
     """Report the willpower regime: which product sells, at what price."""
     doc = _load(instance)
-    try:
-        reg = classify_willpower_regime(doc.instance, tol=_tolerance(ctx, doc))
-    except (BracketFailure, ArithmeticError) as exc:
-        _solver_failure(exc)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+    reg = classify_willpower_regime(doc.instance, tol=_tolerance(ctx, doc))
     if ctx.obj["fmt"] == "json":
         click.echo(json.dumps({
             "case": reg.case_index,
@@ -195,17 +204,10 @@ def sweep(ctx, instance, w_from, w_to, w_steps):
     doc = _load(instance)
     finite = math.isfinite(w_from) and math.isfinite(w_to)
     if not finite or w_steps < 0 or w_from < 0 or w_from > w_to:
-        click.echo("error: need finite 0 <= --w-from <= --w-to and --w-steps >= 0, "
-                   f"got {w_from!r}, {w_to!r} and {w_steps!r}", err=True)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError("need finite 0 <= --w-from <= --w-to and --w-steps >= 0, "
+                         f"got {w_from!r}, {w_to!r} and {w_steps!r}")
     grid = _uniform_grid(w_from, w_to, w_steps)
-    try:
-        records = sweep_willpower(doc.instance, grid, tol=_tolerance(ctx, doc))
-    except (BracketFailure, ArithmeticError) as exc:
-        _solver_failure(exc)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+    records = sweep_willpower(doc.instance, grid, tol=_tolerance(ctx, doc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["w", "case", "sold", "e_sold", "price", "profit", "welfare", "kind"])
     for r in records:
@@ -217,25 +219,23 @@ def sweep(ctx, instance, w_from, w_to, w_steps):
 
 @main.command()
 @click.argument("instance", type=click.Path())
-@click.option("--step", type=float, default=0.01, show_default=True,
-              help="Price grid step.")
-@click.option("--max-menu", type=int, default=3, show_default=True,
-              help="Largest menu size to enumerate (1..3).")
+@click.option("--step", type=float, default=None,
+              help="Price grid step (default: instance file grid, else 0.01).")
+@click.option("--max-menu", type=int, default=None,
+              help="Largest menu size, 1..3 (default: instance file grid, else 3).")
 @click.option("--price-min", type=float, default=None,
               help="Grid lower bound (default: instance file grid, else 0).")
 @click.option("--price-max", type=float, default=None,
               help="Grid upper bound (default: instance file grid, else past "
                    "every candidate price).")
-@click.option("--include-analytic/--exclude-analytic", "analytic", default=True,
-              help="Inject analytic candidate prices into the grid.")
-@click.option("--mode", type=click.Choice(["auto", "exhaustive", "bracketed"]),
-              default="auto", show_default=True, help="Search strategy.")
+@click.option("--include-analytic/--exclude-analytic", "analytic", default=None,
+              help="Inject analytic candidate prices into the grid (default: "
+                   "instance file grid, else on).")
 @click.option("--assume-profit", type=float, default=None,
               help="Diagnostic: verify against this claimed optimal profit "
                    "instead of the solver's.")
 @click.pass_context
-def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
-           assume_profit):
+def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, assume_profit):
     """Check the analytic optimum against brute-force grid enumeration.
 
     Passes when the grid-best profit is at most the target profit (plus
@@ -246,40 +246,26 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, mode,
     doc = _load(instance)
     inst = doc.instance
     tol = _tolerance(ctx, doc)
-    try:
-        sol = optimal_contract(inst, tol=tol)
-    except (BracketFailure, ArithmeticError) as exc:
-        _solver_failure(exc)
+    sol = optimal_contract(inst, tol=tol)
     analytic_profit = sol.profit if assume_profit is None else assume_profit
 
-    if price_min is None:
-        price_min = doc.grid.price_min if doc.grid else 0.0
-    if price_max is None:
-        if doc.grid:
-            price_max = doc.grid.price_max
-        else:
-            ceiling = max(
-                max(a.u for a in inst.alternatives),
-                max(o.price for o in sol.contract.offers),
-            )
-            price_max = float(math.ceil(ceiling) + 1)
-    try:
-        grid = GridSpec(
-            price_step=step,
-            price_min=price_min,
-            price_max=price_max,
-            max_menu_size=max_menu,
-            include_analytic_prices=analytic,
+    if doc.grid is not None:
+        fields = asdict(doc.grid)
+    else:
+        ceiling = max(
+            max(a.u for a in inst.alternatives),
+            max(o.price for o in sol.contract.offers),
         )
-        best = grid_best_contract(inst, grid, mode=mode, tol=tol)
-    except (GridTooLarge, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
-    except (BracketFailure, ArithmeticError) as exc:
-        _solver_failure(exc)
+        fields = {"price_step": 0.01, "price_min": 0.0,
+                  "price_max": float(math.ceil(ceiling) + 1)}
+    flags = {"price_step": step, "price_min": price_min, "price_max": price_max,
+             "max_menu_size": max_menu, "include_analytic_prices": analytic}
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    grid = GridSpec(**fields)
+    best = grid_best_contract(inst, grid, tol=tol)
     grid_profit = best.profit if best is not None else 0.0
     target = max(analytic_profit, 0.0)
-    lower = target - 3.0 * step
+    lower = target - 3.0 * grid.price_step
     upper = target + 1e-9
     passed = lower <= grid_profit <= upper
 

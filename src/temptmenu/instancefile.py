@@ -20,7 +20,8 @@ Schema::
         include_analytic_prices: true
 
 Parse errors carry the YAML line/column where available; validation
-errors name the offending key or alternatives.
+errors name the offending key or alternatives.  A key the schema does not
+list is an error naming its path, not ignored.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ def _as_map(node, path: str) -> dict:
     return node
 
 
+def _known(node: dict, keys: list[str], path: str) -> dict:
+    for key in node:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
+    return node
+
+
 def _get(node: dict, key: str, path: str):
     if key not in node:
         _fail(path, f"missing required key {key!r}")
@@ -80,7 +88,9 @@ def _cost_function(node, path: str) -> CostFunction:
     cls = next((c for c in get_args(CostFunction) if c.kind == kind), None)
     if cls is None:
         _fail(f"{path}.kind", f"unknown cost function kind {kind!r}")
-    params = {f.name: _number(node, f.name, path) for f in fields(cls)}
+    names = [f.name for f in fields(cls)]
+    _known(node, ["kind", *names], path)
+    params = {name: _number(node, name, path) for name in names}
     try:
         return cls(**params)
     except ValueError as exc:
@@ -98,8 +108,12 @@ def parse_instance(text: str) -> InstanceDocument:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise InstanceFileError(f"invalid YAML{where}: {exc}") from exc
-    root = _as_map(root, "document")
+        # kept to one line: str(exc) quotes the document over several
+        parts = [getattr(exc, name, None) for name in ("context", "problem")]
+        why = "; ".join(part for part in parts if part) or " ".join(str(exc).split())
+        raise InstanceFileError(f"invalid YAML{where}: {why}") from exc
+    root = _known(_as_map(root, "document"), ["alternatives", "cost_function", "solver"],
+                  "document")
 
     raw_alts = _get(root, "alternatives", "document")
     if not isinstance(raw_alts, list) or not raw_alts:
@@ -107,7 +121,7 @@ def parse_instance(text: str) -> InstanceDocument:
     alts = []
     for i, entry in enumerate(raw_alts):
         path = f"alternatives[{i}]"
-        entry = _as_map(entry, path)
+        entry = _known(_as_map(entry, path), [f.name for f in fields(Alternative)], path)
         alt_id = _get(entry, "id", path)
         if not isinstance(alt_id, str) or not alt_id:
             _fail(f"{path}.id", f"expected a non-empty string, got {alt_id!r}")
@@ -124,13 +138,14 @@ def parse_instance(text: str) -> InstanceDocument:
     tolerance = None
     grid = None
     if "solver" in root and root["solver"] is not None:
-        solver = _as_map(root["solver"], "solver")
+        solver = _known(_as_map(root["solver"], "solver"), ["tolerance", "grid"], "solver")
         if "tolerance" in solver:
             tolerance = _number(solver, "tolerance", "solver")
             if not tolerance > 0.0:
                 _fail("solver.tolerance", f"expected a number > 0, got {tolerance!r}")
         if "grid" in solver and solver["grid"] is not None:
             gnode = _as_map(solver["grid"], "solver.grid")
+            _known(gnode, [f.name for f in fields(GridSpec)], "solver.grid")
             kwargs = {
                 "price_step": _number(gnode, "price_step", "solver.grid"),
                 "price_min": _number(gnode, "price_min", "solver.grid"),
@@ -182,13 +197,7 @@ def dump_instance(doc: InstanceDocument | ProblemInstance) -> str:
     if doc.tolerance is not None:
         solver["tolerance"] = doc.tolerance
     if doc.grid is not None:
-        solver["grid"] = {
-            "price_step": doc.grid.price_step,
-            "price_min": doc.grid.price_min,
-            "price_max": doc.grid.price_max,
-            "max_menu_size": doc.grid.max_menu_size,
-            "include_analytic_prices": doc.grid.include_analytic_prices,
-        }
+        solver["grid"] = asdict(doc.grid)
     if solver:
         root["solver"] = solver
     return yaml.safe_dump(root, sort_keys=False)

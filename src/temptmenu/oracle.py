@@ -258,28 +258,20 @@ def oversize_menu_search(
     profit (0.0 when every such menu is rejected); menus themselves are
     not reported.
     """
-    import numpy as np
     from . import _kernels
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
     prices = _price_arrays(inst, grid, tol)
-    alts = inst.alternatives
-    best = 0.0
-    for subset in combinations(range(len(alts)), menu_size):
+    for subset in combinations(range(len(inst.alternatives)), menu_size):
         work = math.prod(len(prices[i]) for i in subset)
         if work > work_limit:
             raise GridTooLarge(
                 f"{work} price tuples for subset {subset}; shrink the grid"
             )
-        u = np.array([alts[i].u for i in subset])
-        v = np.array([alts[i].v for i in subset])
-        c = np.array([alts[i].c for i in subset])
-        res = _kernels.exhaustive(
-            u, v, c, [prices[i] for i in subset], inst.cost_fn, tie_tol
-        )
-        if res is not None and res[0] > best:
-            best = res[0]
-    return best
+    sizes = range(menu_size, menu_size + 1)
+    tallies = {menu_size: _kernels.Tally()}
+    best = _best_over_subsets(inst, prices, sizes, "exhaustive", tie_tol, tallies)
+    return 0.0 if best is None else max(best[0], 0.0)
 
 
 # -- solution replay ---------------------------------------------------------

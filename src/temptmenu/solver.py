@@ -31,7 +31,6 @@ from .model import (
     Offer,
     PiecewiseLinearCost,
     ProblemInstance,
-    _require_finite,
     overall_utilities,
 )
 
@@ -99,6 +98,12 @@ def psi_root(cost: CostFunction, y: float) -> float:
     if y <= 0.0:
         return 0.0
     return solve_monotone_price(lambda t: t + cost.phi(t) - y, 0.0, y)
+
+
+def _finite(price: float, what: str) -> None:
+    """Raise an ``OverflowError`` naming ``what`` unless ``price`` is finite."""
+    if not math.isfinite(price):
+        raise OverflowError(f"{what} is {price!r}")
 
 
 def _accepted(price: float, g: Callable[[float], float], tol: float, what: str) -> float:
@@ -194,12 +199,12 @@ class _PriceTable:
     the decoy's price is also its own indulging price.  Prices are solved
     when first asked for, so a solve that fails raises where pricing the
     designs one by one would first reach it, naming the design (indulging,
-    decoy or compromise) and the product whose price failed, and a
-    non-finite price raises the ``Offer`` error as soon as the design
-    holding it is priced.  Prices come from the closed forms where the
-    cost family has them (``has_closed_forms``), else from ``psi_root``,
-    and then must meet the residual tolerance ``tol``, a finite number
-    above 0.
+    decoy or compromise) and the product whose price failed; a non-finite
+    price raises ``OverflowError``, named the same way, as soon as the
+    design holding it is priced.  Prices come from the closed forms where
+    the cost family has them (``has_closed_forms``), else from
+    ``psi_root``, and then must meet the residual tolerance ``tol``, a
+    finite number above 0.
     """
 
     def __init__(self, inst: ProblemInstance, tol: float):
@@ -212,18 +217,17 @@ class _PriceTable:
         self.decoy_is_idle = self.cost.decoy_is_idle(self.decoy.e - self.bait.e)
 
     def _self_tempting(self, x: Alternative, design: str) -> tuple[float, float]:
-        return _self_tempting_price(
-            x.u, x.v, self.bait.e, self.cost, self.tol, f"{design} price of {x.id}"
-        )
+        what = f"{design} price of {x.id}"
+        entry = _self_tempting_price(x.u, x.v, self.bait.e, self.cost, self.tol, what)
+        _finite(entry[0], what)
+        return entry
 
     @cached_property
     def decoy_entry(self) -> tuple[float, float]:
         return self._self_tempting(self.decoy, "decoy")
 
     def indulging(self, x: Alternative) -> tuple[float, float]:
-        entry = self.decoy_entry if x is self.decoy else self._self_tempting(x, "indulging")
-        _require_finite("price", entry[0])
-        return entry
+        return self.decoy_entry if x is self.decoy else self._self_tempting(x, "indulging")
 
     def compromise(self, x: Alternative) -> tuple[float, float]:
         """Price making the consumer indifferent between ``x`` and the decoy.
@@ -244,8 +248,7 @@ class _PriceTable:
         else:
             price = psi_root(cost, decoy.e - x.e) - shift
             price = _accepted(price, g, self.tol, f"compromise price of {x.id}")
-        _require_finite("price", price)
-        _require_finite("price", p_decoy)
+        _finite(price, f"compromise price of {x.id}")
         return price, abs(g(price))
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import temptmenu
-from temptmenu.cli import EXIT_INPUT, EXIT_SOLVER, _uniform_grid, main
+from temptmenu import GridSpec, cli
+from temptmenu.cli import EXIT_INPUT, EXIT_SOLVER, EXIT_VERIFY, _uniform_grid, main
 
 RUNNING = """
 alternatives:
@@ -54,6 +56,33 @@ cost_function:
   kind: power
   alpha: 0.5
   gamma: 1000
+"""
+
+# the decoy B's closed-form price doubles v(B) past the largest double
+HUGE_PRICES = """
+alternatives:
+  - {id: A, u: 1.0e+308, v: 1.0e+308, c: 0}
+  - {id: B, u: 0, v: 1.7e+308, c: 0}
+cost_function: {kind: piecewise_linear, l: 0.5, k: 2, w: 1}
+"""
+
+POWER = RUNNING.split("cost_function:")[0] + "cost_function: {kind: power, alpha: 1.0, gamma: 2.0}\n"
+
+# the worked instance at ten times the money scale: the default step 0.01
+# would need 12100 grid steps, past the guard
+TENFOLD = """
+alternatives:
+  - {id: A, u: 100, v: 100, c: 50}
+  - {id: B, u: 80, v: 140, c: 50}
+  - {id: C, u: 20, v: 160, c: 50}
+cost_function: {kind: piecewise_linear, l: 0.5, k: 2.0, w: 10.0}
+"""
+
+FILE_GRID = GridSpec(price_step=2.0, price_min=0.0, price_max=20.0, max_menu_size=1,
+                     include_analytic_prices=False)
+WITH_GRID = RUNNING + """solver:
+  grid: {price_step: 2.0, price_min: 0, price_max: 20, max_menu_size: 1,
+         include_analytic_prices: false}
 """
 
 
@@ -294,6 +323,102 @@ def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stderr.startswith("solver failure: BracketFailure: indulging price of B")
     assert proc.stderr.count("\n") == 1
+
+
+DOCUMENTS = {
+    "running": RUNNING, "tied": TIED, "power": POWER, "bracket": OVERFLOWING,
+    "huge": HUGE_PRICES, "bad_yaml": "alternatives:\n  - {id: A, u: 10\n",
+}
+
+# (case, argv with {dir} for the documents' folder, exit code, start of the
+# one stderr line; None for a click usage message, "" for an empty stderr)
+EXIT_TABLE = [
+    ("usage-missing-argument", ["solve"], EXIT_INPUT, None),
+    ("usage-bad-float", ["verify", "{dir}/running.yaml", "--step", "abc"], EXIT_INPUT, None),
+    ("usage-unknown-option", ["verify", "{dir}/running.yaml", "--mode", "auto"], EXIT_INPUT, None),
+    ("usage-format-xml", ["--format", "xml", "solve", "{dir}/running.yaml"], EXIT_INPUT, None),
+    ("input-bad-yaml", ["solve", "{dir}/bad_yaml.yaml"], EXIT_INPUT, "error: invalid YAML at line "),
+    ("input-tied-roles", ["solve", "{dir}/tied.yaml"], EXIT_INPUT, "error: "),
+    ("input-power-classify", ["classify", "{dir}/power.yaml"], EXIT_INPUT, "error: "),
+    ("input-max-menu-4", ["verify", "{dir}/running.yaml", "--max-menu", "4"], EXIT_INPUT,
+     "error: max_menu_size must be an integer in 1..3, got 4"),
+    ("solver-bracket-failure", ["solve", "{dir}/bracket.yaml"], EXIT_SOLVER,
+     "solver failure: BracketFailure: indulging price of B: residual "),
+    ("solver-overflow-solve", ["solve", "{dir}/huge.yaml"], EXIT_SOLVER,
+     "solver failure: OverflowError: decoy price of B is inf\n"),
+    ("solver-overflow-sweep", ["sweep", "{dir}/huge.yaml", "--w-from", "0", "--w-to", "1"],
+     EXIT_SOLVER, "solver failure: OverflowError: decoy price of B is inf\n"),
+    ("solver-overflow-verify", ["verify", "{dir}/huge.yaml"], EXIT_SOLVER,
+     "solver failure: OverflowError: decoy price of B is inf\n"),
+    ("verify-failure", ["verify", "{dir}/running.yaml", "--step", "0.25", "--assume-profit", "8.5"],
+     EXIT_VERIFY, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr_start",
+    [case[1:] for case in EXIT_TABLE],
+    ids=[case[0] for case in EXIT_TABLE],
+)
+def test_exit_code_table(tmp_path, argv, code, stderr_start):
+    for name, text in DOCUMENTS.items():
+        (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
+    proc = run_child("-m", "temptmenu.cli", *(arg.format(dir=tmp_path) for arg in argv))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    if stderr_start is None:
+        assert proc.stderr.startswith("Usage: ") and "\nError: " in proc.stderr
+    elif stderr_start == "":
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith(stderr_start)
+        assert proc.stderr.count("\n") == 1
+
+
+def test_verify_honours_the_file_grid(tmp_path):
+    path = tmp_path / "grid.yaml"
+    path.write_text(WITH_GRID, encoding="utf-8")
+    result = run("verify", str(path))
+    assert result.exit_code == 0, result.output
+    assert "grid-best profit: 5\n" in result.output
+    assert "acceptance band: [1, 7.000000001]\n" in result.output
+
+
+@pytest.mark.parametrize(
+    "text, flags, expected",
+    (
+        (WITH_GRID, [], FILE_GRID),
+        (WITH_GRID, ["--step", "0.5"], replace(FILE_GRID, price_step=0.5)),
+        (WITH_GRID, ["--price-min", "1"], replace(FILE_GRID, price_min=1.0)),
+        (WITH_GRID, ["--price-max", "15"], replace(FILE_GRID, price_max=15.0)),
+        (WITH_GRID, ["--max-menu", "3"], replace(FILE_GRID, max_menu_size=3)),
+        (WITH_GRID, ["--include-analytic"], replace(FILE_GRID, include_analytic_prices=True)),
+        # no file grid: past every candidate price (12), GridSpec's own defaults
+        (RUNNING, [], GridSpec(price_step=0.01, price_min=0.0, price_max=13.0)),
+        (RUNNING, ["--exclude-analytic", "--max-menu", "2"],
+         GridSpec(0.01, 0.0, 13.0, max_menu_size=2, include_analytic_prices=False)),
+    ),
+    ids=("file", "step", "price-min", "price-max", "max-menu", "analytic", "default",
+         "default-flags"),
+)
+def test_verify_grid_takes_each_field_from_flag_then_file_then_default(
+    tmp_path, monkeypatch, text, flags, expected
+):
+    path = tmp_path / "instance.yaml"
+    path.write_text(text, encoding="utf-8")
+    searched = []
+    monkeypatch.setattr(cli, "grid_best_contract", lambda inst, grid, tol: searched.append(grid))
+    run("verify", str(path), *flags)
+    assert searched == [expected]
+
+
+def test_verify_validates_the_grid_only_after_the_flags_apply(tmp_path):
+    path = tmp_path / "tenfold.yaml"
+    path.write_text(TENFOLD, encoding="utf-8")
+    assert run("verify", str(path)).exit_code == EXIT_INPUT  # too many steps at 0.01
+    result = run("verify", str(path), "--step", "1")
+    assert result.exit_code == 0, result.output
+    assert "grid-best profit: 70\n" in result.output
 
 
 NUMPY_PROBE = """

@@ -61,6 +61,33 @@ def test_round_trip_identity():
     again = parse_instance(dump_instance(full))
     assert again == full
 
+    narrow = InstanceDocument(
+        doc.instance,
+        grid=GridSpec(price_step=0.5, price_min=1.0, price_max=9.0, max_menu_size=2,
+                      include_analytic_prices=False),
+    )
+    assert parse_instance(dump_instance(narrow)) == narrow
+
+
+@pytest.mark.parametrize(
+    "find, replace, path",
+    (
+        ("c: 5}", "c: 5, w: 3}", r"alternatives\[0\]\.w"),
+        ("  w: 1.0\n", "  w: 1.0\n  gamma: 2.0\n", r"cost_function\.gamma"),
+        ("  kind: piecewise_linear\n  l: 0.5\n  k: 2.0\n  w: 1.0\n",
+         "  {kind: power, alpha: 1.0, gamma: 2.0, w: 1.0}\n", r"cost_function\.w"),
+        ("  w: 1.0\n", "  w: 1.0\nsolver: {tolerence: 1.0e-3}\n", r"solver\.tolerence"),
+        ("  w: 1.0\n", "  w: 1.0\nsolver:\n  grid: {price_step: 1, price_min: 0, "
+         "price_max: 5, include_analytic: false}\n", r"solver\.grid\.include_analytic"),
+        ("  w: 1.0\n", "  w: 1.0\nsolvr: {tolerance: 1.0e-3}\n", r"document\.solvr"),
+    ),
+    ids=("alternative", "piecewise", "power", "solver", "grid", "document"),
+)
+def test_unknown_key_names_its_path(find, replace, path):
+    assert find in RUNNING
+    with pytest.raises(InstanceFileError, match=rf"^{path}: unknown key; expected one of "):
+        parse_instance(RUNNING.replace(find, replace, 1))
+
 
 def test_yaml_error_carries_position():
     with pytest.raises(InstanceFileError, match=r"line \d+"):

@@ -535,6 +535,26 @@ def test_bracket_failure_names_the_decoy_design():
         optimal_contract(inst)
 
 
+def test_overflowing_price_is_a_named_overflow_error():
+    # the decoy B's closed-form price doubles v(B) = 1.7e308 past the largest
+    # double; X's own indulging price stays finite
+    bait = Alternative("A", 1e308, 1e308, 0.0)
+    x = Alternative("X", 0.0, 0.5e308, 0.0)
+    decoy = Alternative("B", 0.0, 1.7e308, 0.0)
+    cost = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
+    pair = ProblemInstance((bait, decoy), cost)
+    trio = ProblemInstance((bait, x, decoy), cost)
+    assert math.isfinite(indulging_contract(x, trio).profit)
+    for solve in (
+        lambda: optimal_contract(pair),
+        lambda: decoy_price(pair),
+        lambda: optimal_contract(trio),
+        lambda: compromising_contract(x, trio),
+    ):
+        with pytest.raises(OverflowError, match=r"^decoy price of B is inf$"):
+            solve()
+
+
 # -- psi-space pricing ----------------------------------------------------------------
 
 
