@@ -21,7 +21,10 @@ lexicographically smallest price-index tuple):
   and identical to bisecting every row.
 
 The cost is the instance's cost object; the kernels only call its
-elementwise ``phi_array``.
+elementwise ``phi_array``.  Both searches apply the model's choice rule:
+a menu is signed when ``max(u - p) >= 0`` (``model.accepts``), and an
+offer is chosen within ``model.CHOICE_TIE_TOL`` of the best overall
+utility.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from functools import reduce
 
 import numpy as np
 
+from .model import CHOICE_TIE_TOL
 
-def exhaustive(u, v, c, prices, cost, tie):
+
+def exhaustive(u, v, c, prices, cost):
     """Literal enumeration, vectorized over all but the first price axis."""
     m = len(prices)
     inner = [p.reshape((1,) * i + (-1,) + (1,) * (m - 2 - i)) for i, p in enumerate(prices[1:])]
@@ -47,7 +52,7 @@ def exhaustive(u, v, c, prices, cost, tie):
         big = reduce(np.maximum, vs)
         os_ = [us[t] - cost.phi_array(big - vs[t]) for t in range(m)]
         top = reduce(np.maximum, os_)
-        cutoff = top - tie
+        cutoff = top - CHOICE_TIE_TOL
         credit = np.broadcast_to(np.float64(-np.inf), inner_shape)
         for t in range(m):
             margin = ps[t] - c[t]
@@ -66,6 +71,9 @@ def exhaustive(u, v, c, prices, cost, tie):
 
 PSI_NODES = 4097
 """Nodes of the ``psi(x) = x + phi(x)`` table the threshold estimate inverts."""
+
+ROW_BLOCK = 1 << 14
+"""Rows ``bracketed`` processes at once; bounds its per-row temporaries."""
 
 
 @dataclass
@@ -90,7 +98,7 @@ def psi_inverse(y, xs, psis):
     return np.interp(y, psis, xs)
 
 
-def _window(ud, vd, Pd, uo, vo, cost, tie):
+def _window(ud, vd, Pd, uo, vo, cost):
     """Tie-window test of the designated offer at price index ``idx``, per row."""
     nd = len(Pd)
 
@@ -100,12 +108,12 @@ def _window(ud, vd, Pd, uo, vo, cost, tie):
         big = reduce(np.maximum, vo, vs)
         own = (ud - pd) - cost.phi_array(big - vs)
         top = reduce(np.maximum, [a - cost.phi_array(big - b) for a, b in zip(uo, vo)])
-        return own >= np.maximum(own, top) - tie
+        return own >= np.maximum(own, top) - CHOICE_TIE_TOL
 
     return window
 
 
-def _threshold(ud, vd, uo, vo, cost, tie, table):
+def _threshold(ud, vd, uo, vo, cost, table):
     """Continuous price at which the designated offer leaves the tie window.
 
     Past ``s = vd - max(vo)`` another offer is the most tempting and the
@@ -116,10 +124,10 @@ def _threshold(ud, vd, uo, vo, cost, tie, table):
     vmax = reduce(np.maximum, vo)
     s = vd - vmax
     top = reduce(np.maximum, [a - cost.phi_array(vmax - b) for a, b in zip(uo, vo)])
-    above = s + psi_inverse(ud - s - top + tie, *table)
+    above = s + psi_inverse(ud - s - top + CHOICE_TIE_TOL, *table)
     below = reduce(
         np.minimum,
-        [vd - b - psi_inverse(a - ud + vd - b - tie, *table) for a, b in zip(uo, vo)],
+        [vd - b - psi_inverse(a - ud + vd - b - CHOICE_TIE_TOL, *table) for a, b in zip(uo, vo)],
     )
     return np.where(below < s, below, above)
 
@@ -139,12 +147,9 @@ def _bisect(window, hi, tally):
         hi2 = np.where(open_ & ~good, mid, hi2)
 
 
-def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
-    """Designated-offer search, vectorized over the other offers' price grids.
-
-    Rows are processed in blocks of ``block``, which bounds the memory the
-    per-row temporaries take.
-    """
+def bracketed(u, v, c, prices, caps, cost, tally):
+    """Designated-offer search, vectorized over the other offers' price grids,
+    in blocks of ``ROW_BLOCK`` rows."""
     m = len(prices)
     table = psi_table(prices, v, cost)
     best = -np.inf
@@ -155,8 +160,8 @@ def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
         nd = len(Pd)
         sizes = tuple(len(prices[t]) for t in others)
         total = int(np.prod(sizes))
-        for start in range(0, total, block):
-            flat = np.arange(start, min(start + block, total))
+        for start in range(0, total, ROW_BLOCK):
+            flat = np.arange(start, min(start + ROW_BLOCK, total))
             oidx = np.unravel_index(flat, sizes)
             po = [prices[t][i] for t, i in zip(others, oidx)]
             uo = [u[t] - p for t, p in zip(others, po)]
@@ -165,8 +170,8 @@ def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
             hi = np.where(bait_ok, nd - 1, caps[d])
             alive = hi >= 0
 
-            window = _window(u[d], v[d], Pd, uo, vo, cost, tie)
-            est = _threshold(u[d], v[d], uo, vo, cost, tie, table)
+            window = _window(u[d], v[d], Pd, uo, vo, cost)
+            est = _threshold(u[d], v[d], uo, vo, cost, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
             hit = (
                 alive
@@ -180,7 +185,7 @@ def bracketed(u, v, c, prices, caps, cost, tie, tally, block=1 << 14):
             if miss.size:
                 tally.fallback_rows += miss.size
                 sub = _window(
-                    u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost, tie
+                    u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost
                 )
                 lo[miss] = _bisect(sub, hi[miss], tally)
             valid = alive & (lo >= 0)
@@ -215,7 +220,7 @@ def _cap(P: np.ndarray, value: float) -> int:
     return int(np.searchsorted(P, value, side="right")) - 1
 
 
-def search_subset(u, v, c, prices, cost, tie, mode, tally=None):
+def search_subset(u, v, c, prices, cost, mode, tally=None):
     """Best accepted menu over one subset's price grids.
 
     ``u, v, c`` are per-offer parameter tuples, ``prices`` sorted unique
@@ -241,6 +246,6 @@ def search_subset(u, v, c, prices, cost, tie, mode, tally=None):
         work = math.prod(len(p) for p in prices)
         tally.tuples += work
         tally.window_checks += work
-        return exhaustive(u_arr, v_arr, c_arr, prices, cost, tie)
+        return exhaustive(u_arr, v_arr, c_arr, prices, cost)
     caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
-    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tie, tally)
+    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tally)

@@ -21,7 +21,8 @@ Schema::
 
 Parse errors carry the YAML line/column where available; validation
 errors name the offending key or alternatives.  A key the schema does not
-list is an error naming its path, not ignored.
+list is an error naming its path, not ignored; so is a key repeated in one
+mapping, which YAML would otherwise resolve silently to its last value.
 """
 
 from __future__ import annotations
@@ -57,6 +58,49 @@ def _as_map(node, path: str) -> dict:
     if not isinstance(node, dict):
         _fail(path, f"expected a mapping, got {type(node).__name__}")
     return node
+
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+def _no_duplicate_keys(loader: yaml.SafeLoader, node, path: str, seen: set) -> None:
+    """Raise naming the path and position of the first key repeated in a mapping.
+
+    ``path`` is the node's own path; keys of the document's top level are
+    named ``document.<key>``, as unknown keys are.
+    """
+    if id(node) in seen:  # an alias of a node already checked
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _no_duplicate_keys(loader, item, f"{path}[{i}]", seen)
+    elif isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key_node, value_node in node.value:
+            if key_node.tag == _MERGE_TAG or not isinstance(key_node, yaml.ScalarNode):
+                continue  # merged keys may be overridden; other keys are YAML's to reject
+            key = loader.construct_object(key_node)
+            if key in keys:
+                mark = key_node.start_mark
+                _fail(f"{path}.{key}", f"duplicate key at line {mark.line + 1}, "
+                                       f"column {mark.column + 1}")
+            keys.add(key)
+            child = str(key) if path == "document" else f"{path}.{key}"
+            _no_duplicate_keys(loader, value_node, child, seen)
+
+
+def _safe_load(text: str):
+    """``yaml.safe_load`` that rejects a repeated key instead of keeping its last value."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        _no_duplicate_keys(loader, node, "document", set())
+        return loader.construct_document(node)
+    finally:
+        loader.dispose()
 
 
 def _known(node: dict, keys: list[str], path: str) -> dict:
@@ -104,7 +148,7 @@ def parse_instance(text: str) -> InstanceDocument:
     as ``AssumptionViolated`` with the tied alternatives named.
     """
     try:
-        root = yaml.safe_load(text)
+        root = _safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -3,10 +3,15 @@
 An alternative carries a long-run utility value ``u``, an in-the-moment
 temptation value ``v`` and a production cost ``c`` (all in money units).
 A contract is a small menu of priced alternatives.  The consumer signs a
-contract believing he will later pick the offer with the best ``u - p``;
-when the time comes he instead pays a convex self-control penalty for
-resisting the most tempting offer in the menu, which can drag his choice
-toward tempting, overpriced items.
+contract believing he will later pick the offer with the best ``u - p``,
+so he signs when that best perceived offer is worth at least the outside
+option: ``max(u - p) >= 0`` (``accepts``).  When the time comes he instead
+pays a convex self-control penalty for resisting the most tempting offer
+in the menu, which can drag his choice toward tempting, overpriced items.
+
+This module states the choice rule once.  The replays here, the solution
+check in ``oracle`` and the grid-search kernels all sign by ``accepts``'s
+test and pick within the one tie window ``CHOICE_TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ CHOICE_TIE_TOL = 1e-9
 
 Optimal menus make the consumer exactly indifferent, so floating-point
 replay needs a tie window; ties are resolved in the seller's favor
-(highest price - cost, then lowest menu position).
+(highest price - cost, then lowest menu position).  It is not a per-call
+option: every choice reads it here, and only ``oracle.verify_solution``
+takes another window for one check.
 """
 
 
@@ -243,22 +250,25 @@ def _pick(contract: Contract, scores: tuple[float, ...], tie_tol: float) -> int:
     return pick
 
 
-def perceived_choice(contract: Contract, tie_tol: float = CHOICE_TIE_TOL) -> Offer:
+def perceived_choice(contract: Contract) -> Offer:
     """The offer the naive consumer believes he will pick (max ``u - p``)."""
-    return contract.offers[_pick(contract, perceived_utilities(contract), tie_tol)]
+    return contract.offers[_pick(contract, perceived_utilities(contract), CHOICE_TIE_TOL)]
 
 
-def actual_choice(
-    contract: Contract, cost_fn: CostFunction, tie_tol: float = CHOICE_TIE_TOL
-) -> Offer:
+def actual_choice(contract: Contract, cost_fn: CostFunction) -> Offer:
     """The offer actually consumed under the self-control cost."""
-    return contract.offers[_pick(contract, overall_utilities(contract, cost_fn), tie_tol)]
+    return contract.offers[
+        _pick(contract, overall_utilities(contract, cost_fn), CHOICE_TIE_TOL)
+    ]
 
 
-def accepts(contract: Contract, tie_tol: float = CHOICE_TIE_TOL) -> bool:
-    """Whether the consumer signs: perceived choice must be worth >= 0 (ties accept)."""
-    o = perceived_choice(contract, tie_tol)
-    return o.alternative.u - o.price >= 0.0
+def accepts(contract: Contract) -> bool:
+    """Whether the consumer signs: his best perceived offer is worth >= 0.
+
+    This is the one signing rule; the grid-search kernels apply the same
+    ``max(u - p) >= 0`` test to whole price grids.
+    """
+    return max(perceived_utilities(contract)) >= 0.0
 
 
 @dataclass(frozen=True)
@@ -270,17 +280,15 @@ class Outcome:
     chosen: Offer | None
 
 
-def realized_outcome(
-    contract: Contract, cost_fn: CostFunction, tie_tol: float = CHOICE_TIE_TOL
-) -> Outcome:
+def realized_outcome(contract: Contract, cost_fn: CostFunction) -> Outcome:
     """Replay a contract: seller profit and the consumer's realized utility.
 
     A rejected contract yields the outside option, normalized to (0, 0).
     """
-    if not accepts(contract, tie_tol):
+    if not accepts(contract):
         return Outcome(0.0, 0.0, None)
     scores = overall_utilities(contract, cost_fn)
-    i = _pick(contract, scores, tie_tol)
+    i = _pick(contract, scores, CHOICE_TIE_TOL)
     return Outcome(contract.offers[i].margin, scores[i], contract.offers[i])
 
 

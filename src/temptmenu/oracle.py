@@ -30,8 +30,8 @@ from .model import (
     ContractKind,
     Offer,
     ProblemInstance,
+    _pick,
     accepts,
-    actual_choice,
     overall_utilities,
     perceived_utilities,
     realized_outcome,
@@ -45,6 +45,9 @@ if TYPE_CHECKING:
 
 MAX_GRID_POINTS = 10_000
 """Desk-scale guard: base grid points per alternative."""
+
+OVERSIZE_WORK_LIMIT = 20_000_000
+"""Guard of ``oversize_menu_search``: price tuples in any one subset."""
 
 _SIZE_KIND = {
     1: ContractKind.COMMITMENT,
@@ -157,7 +160,6 @@ def _best_over_subsets(
     prices: list[np.ndarray],
     sizes: range,
     mode: str,
-    tie_tol: float,
     tallies: dict[int, _kernels.Tally],
 ):
     """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
@@ -170,7 +172,7 @@ def _best_over_subsets(
             v = tuple(alts[i].v for i in subset)
             c = tuple(alts[i].c for i in subset)
             res = _kernels.search_subset(
-                u, v, c, [prices[i] for i in subset], inst.cost_fn, tie_tol, mode,
+                u, v, c, [prices[i] for i in subset], inst.cost_fn, mode,
                 tally=tallies[size],
             )
             if res is None:
@@ -187,7 +189,6 @@ def grid_best_contract(
     *,
     mode: str = "auto",
     tol: float = PRICE_TOL,
-    tie_tol: float = CHOICE_TIE_TOL,
     stats: bool = False,
 ) -> Solution | None | tuple[Solution | None, SearchStats]:
     """Max-profit menu over the grid, or None if walking away beats every menu.
@@ -208,8 +209,8 @@ def grid_best_contract(
     prices = _price_arrays(inst, grid, tol)
     sizes = range(1, grid.max_menu_size + 1)
     tallies = {size: _kernels.Tally() for size in sizes}
-    best = _best_over_subsets(inst, prices, sizes, mode, tie_tol, tallies)
-    sol = _replay_best(inst, prices, best, tie_tol)
+    best = _best_over_subsets(inst, prices, sizes, mode, tallies)
+    sol = _replay_best(inst, prices, best)
     if not stats:
         return sol
     return sol, SearchStats(
@@ -218,8 +219,11 @@ def grid_best_contract(
     )
 
 
-def _replay_best(inst, prices, best, tie_tol) -> Solution | None:
-    """The search's best menu as a replayed solution, or None if it loses money."""
+def _replay_best(inst, prices, best) -> Solution | None:
+    """The search's best menu as a replayed solution, or None if it loses money.
+
+    The menu is replayed once; the replay's choice becomes the intended offer.
+    """
     if best is None or best[0] < 0.0:
         return None
     profit, subset, idx = best
@@ -227,18 +231,16 @@ def _replay_best(inst, prices, best, tie_tol) -> Solution | None:
         Offer(inst.alternatives[i], float(prices[i][j])) for i, j in zip(subset, idx)
     )
     kind = _SIZE_KIND[len(offers)]
-    probe = Contract(offers, 0, kind)
-    chosen = actual_choice(probe, inst.cost_fn, tie_tol)
-    intended = next(i for i, o in enumerate(offers) if o is chosen)
-    contract = Contract(offers, intended, kind)
-    outcome = realized_outcome(contract, inst.cost_fn, tie_tol)
+    outcome = realized_outcome(Contract(offers, 0, kind), inst.cost_fn)
     if outcome.chosen is None or abs(outcome.profit - profit) > 1e-9:
         raise AssertionError(
             f"kernel/model disagreement on menu {offers}: kernel profit {profit}, "
             f"replay {outcome.profit}"
         )
+    intended = next(i for i, o in enumerate(offers) if o is outcome.chosen)
     return Solution(
-        contract, outcome.profit, outcome.welfare, chosen.alternative, kind, ()
+        Contract(offers, intended, kind), outcome.profit, outcome.welfare,
+        outcome.chosen.alternative, kind, (),
     )
 
 
@@ -246,31 +248,28 @@ def oversize_menu_search(
     inst: ProblemInstance,
     grid: GridSpec,
     menu_size: int = 4,
-    *,
-    tie_tol: float = CHOICE_TIE_TOL,
-    tol: float = PRICE_TOL,
-    work_limit: int = 20_000_000,
 ) -> float:
     """Diagnostic: best profit over menus of exactly ``menu_size`` offers.
 
     Supports sizes beyond the three-offer cap on tiny grids, to check
     empirically that a fourth offer adds nothing.  Returns the best
     profit (0.0 when every such menu is rejected); menus themselves are
-    not reported.
+    not reported.  Raises ``GridTooLarge`` when a subset holds more than
+    ``OVERSIZE_WORK_LIMIT`` price tuples.
     """
     from . import _kernels
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
-    prices = _price_arrays(inst, grid, tol)
+    prices = _price_arrays(inst, grid, PRICE_TOL)
     for subset in combinations(range(len(inst.alternatives)), menu_size):
         work = math.prod(len(prices[i]) for i in subset)
-        if work > work_limit:
+        if work > OVERSIZE_WORK_LIMIT:
             raise GridTooLarge(
                 f"{work} price tuples for subset {subset}; shrink the grid"
             )
     sizes = range(menu_size, menu_size + 1)
     tallies = {menu_size: _kernels.Tally()}
-    best = _best_over_subsets(inst, prices, sizes, "exhaustive", tie_tol, tallies)
+    best = _best_over_subsets(inst, prices, sizes, "exhaustive", tallies)
     return 0.0 if best is None else max(best[0], 0.0)
 
 
@@ -312,17 +311,20 @@ def verify_solution(
     inst: ProblemInstance,
     *,
     choice_slack: float = 1e-8,
-    participation_slack: float = 1e-8,
-    residual_tol: float = PRICE_TOL,
-    profit_tol: float = 1e-9,
     epsilon_discount: float = 0.0,
     tie_tol: float = CHOICE_TIE_TOL,
 ) -> VerificationReport:
     """Replay a solution's menu and check every claim it makes.
 
-    ``epsilon_discount`` shaves the intended offer's price before the
-    replay; with a strictly positive discount the intended offer must be
-    chosen outright, without leaning on the seller-favorable tie-break.
+    The menu is replayed once: its perceived and overall utilities are
+    computed one time and every check reads them.  ``choice_slack`` is how
+    far the intended offer may trail the consumption-time best, and
+    ``tie_tol`` the tie window of the ``intended_chosen`` pick (the model's
+    ``CHOICE_TIE_TOL`` by default).  ``epsilon_discount`` shaves the
+    intended offer's price before the replay; with a strictly positive
+    discount the intended offer must be chosen outright, without leaning on
+    the seller-favorable tie-break.  The other bounds (participation,
+    profit, welfare, residuals) are fixed in the body, not per call.
     """
     eps = epsilon_discount
     offers = list(sol.contract.offers)
@@ -331,20 +333,19 @@ def verify_solution(
         o = offers[intended]
         offers[intended] = Offer(o.alternative, o.price - eps)
     contract = Contract(tuple(offers), intended, sol.contract.kind)
-    cost = inst.cost_fn
 
     perceived = perceived_utilities(contract)
-    overall = overall_utilities(contract, cost)
-    chosen = actual_choice(contract, cost, tie_tol)
+    overall = overall_utilities(contract, inst.cost_fn)
+    chosen = contract.offers[_pick(contract, overall, tie_tol)]
     checks = []
 
     checks.append(
-        CheckResult("accepted", accepts(contract, tie_tol), max(perceived))
+        CheckResult("accepted", accepts(contract), max(perceived))
     )
     checks.append(
         CheckResult(
             "participation_binds",
-            max(perceived) >= -participation_slack,
+            max(perceived) >= -1e-8,
             max(perceived),
             "perceived value of the best offer at signing",
         )
@@ -370,7 +371,7 @@ def verify_solution(
     checks.append(
         CheckResult(
             "profit_consistent",
-            abs(margin - (sol.profit - eps)) <= profit_tol,
+            abs(margin - (sol.profit - eps)) <= 1e-9,
             margin,
         )
     )
@@ -384,6 +385,6 @@ def verify_solution(
     )
     worst = max(sol.residuals) if sol.residuals else 0.0
     checks.append(
-        CheckResult("residuals_small", worst <= residual_tol, worst)
+        CheckResult("residuals_small", worst <= PRICE_TOL, worst)
     )
     return VerificationReport(all(c.passed for c in checks), tuple(checks))

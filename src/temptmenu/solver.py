@@ -106,12 +106,14 @@ def _finite(price: float, what: str) -> None:
         raise OverflowError(f"{what} is {price!r}")
 
 
-def _accepted(price: float, g: Callable[[float], float], tol: float, what: str) -> float:
-    """A bisected ``price``, which must meet ``|g(price)| <= tol``."""
+def _accepted(
+    price: float, g: Callable[[float], float], tol: float, what: str
+) -> tuple[float, float]:
+    """A bisected ``price`` and its residual ``|g(price)|``, which must be ``<= tol``."""
     residual = abs(g(price))
     if residual > tol:
         raise BracketFailure(f"{what}: residual {residual:.3g} exceeds tol {tol:g}")
-    return price
+    return price, residual
 
 
 # -- closed forms for the piecewise-linear family ---------------------------
@@ -184,9 +186,8 @@ def _self_tempting_price(
 
     if cost.has_closed_forms:
         price = _pw_self_tempting_price(u, v, e_bait, cost)
-    else:
-        price = _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, tol, what)
-    return price, abs(g(price))
+        return price, abs(g(price))
+    return _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, tol, what)
 
 
 class _PriceTable:
@@ -243,13 +244,14 @@ class _PriceTable:
         def g(p: float) -> float:
             return p - anchor + cost.phi(shift + p)
 
+        what = f"compromise price of {x.id}"
         if cost.has_closed_forms:
             price = _pw_compromise_price(x, self.bait.e, decoy, cost)
+            entry = price, abs(g(price))
         else:
-            price = psi_root(cost, decoy.e - x.e) - shift
-            price = _accepted(price, g, self.tol, f"compromise price of {x.id}")
-        _finite(price, f"compromise price of {x.id}")
-        return price, abs(g(price))
+            entry = _accepted(psi_root(cost, decoy.e - x.e) - shift, g, self.tol, what)
+        _finite(entry[0], what)
+        return entry
 
 
 _Design = tuple[float, ContractKind, tuple[float, float] | None]
@@ -475,6 +477,14 @@ def classify_willpower_regime(
     be compromised).  Case 2 (willpower strictly between the steep and
     shallow product thresholds) has no closed form; the prediction there
     is the direct maximization over the same table.
+
+    Outside case 2 only the named product's designs are priced, so the
+    classifier can answer where ``optimal_contract`` cannot: a price those
+    designs do not need may overflow.  On ``A(1e308, 1e308, 0)`` and
+    ``B(0, 1.7e308, 0)`` case 1 sells the bait A by commitment, while the
+    solve raises ``OverflowError`` on the decoy B's price.  That is
+    deliberate: pricing every design here would make the prediction an
+    echo of the solver.
     """
     steep, shallow, thresholds = _regime_thresholds(inst)
     case = _case_index(inst.cost_fn.w, thresholds)

@@ -56,6 +56,23 @@ def four_product_instance(w: float = 1.0) -> ProblemInstance:
     )
 
 
+def near_tie_instance() -> ProblemInstance:
+    """Instance whose optimal bait and sold offer tie within the choice window.
+
+    B sells at 8.000000000033333, a hair above its u, so its perceived value
+    is -1.3e-10 while the bait A's is 0: the consumer signs on A's value and
+    the seller-favorable tie-break still picks B at signing.
+    """
+    return ProblemInstance(
+        (
+            Alternative("A", 10.0, 10.0, 5.0),
+            Alternative("B", 7.9999999999, 8.0000000001, 0.0),
+            Alternative("C", 2.0, 16.0, 5.0),
+        ),
+        PiecewiseLinearCost(l=0.5, k=2.0, w=1.0),
+    )
+
+
 def _runner_up_gap(values: np.ndarray) -> float:
     top = np.sort(values)
     return float(top[-1] - top[-2])

@@ -66,6 +66,15 @@ alternatives:
 cost_function: {kind: piecewise_linear, l: 0.5, k: 2, w: 1}
 """
 
+# the optimal bait A and sold offer B tie within the choice window at signing
+NEAR_TIE = """
+alternatives:
+  - {id: A, u: 10, v: 10, c: 5}
+  - {id: B, u: 7.9999999999, v: 8.0000000001, c: 0}
+  - {id: C, u: 2, v: 16, c: 5}
+cost_function: {kind: piecewise_linear, l: 0.5, k: 2, w: 1}
+"""
+
 POWER = RUNNING.split("cost_function:")[0] + "cost_function: {kind: power, alpha: 1.0, gamma: 2.0}\n"
 
 # the worked instance at ten times the money scale: the default step 0.01
@@ -344,6 +353,9 @@ EXIT_TABLE = [
      "error: max_menu_size must be an integer in 1..3, got 4"),
     ("solver-bracket-failure", ["solve", "{dir}/bracket.yaml"], EXIT_SOLVER,
      "solver failure: BracketFailure: indulging price of B: residual "),
+    # classify prices only the product its range names (the bait A, by
+    # commitment), never the decoy B whose price overflows in solve
+    ("ok-classify-overflow", ["classify", "{dir}/huge.yaml"], 0, ""),
     ("solver-overflow-solve", ["solve", "{dir}/huge.yaml"], EXIT_SOLVER,
      "solver failure: OverflowError: decoy price of B is inf\n"),
     ("solver-overflow-sweep", ["sweep", "{dir}/huge.yaml", "--w-from", "0", "--w-to", "1"],
@@ -373,6 +385,15 @@ def test_exit_code_table(tmp_path, argv, code, stderr_start):
     else:
         assert proc.stderr.startswith(stderr_start)
         assert proc.stderr.count("\n") == 1
+
+
+def test_verify_passes_on_a_near_tie(tmp_path):
+    path = tmp_path / "near_tie.yaml"
+    path.write_text(NEAR_TIE, encoding="utf-8")
+    result = run("verify", str(path))
+    assert result.exit_code == 0, result.output
+    assert "grid-best menu: A@10, B@8.00000000003\n" in result.output
+    assert "verdict: pass\n" in result.output
 
 
 def test_verify_honours_the_file_grid(tmp_path):

@@ -89,6 +89,27 @@ def test_unknown_key_names_its_path(find, replace, path):
         parse_instance(RUNNING.replace(find, replace, 1))
 
 
+@pytest.mark.parametrize(
+    "find, replace, message",
+    (
+        ("{id: B, u: 8, v: 14, c: 5}", "{id: B, u: 8, v: 14, c: 5, u: 80}",
+         r"alternatives\[1\]\.u: duplicate key at line 4, column 32"),
+        ("  w: 1.0\n", "  w: 1.0\ncost_function: {kind: power, alpha: 1.0, gamma: 2.0}\n",
+         r"document\.cost_function: duplicate key at line 11, column 1"),
+        ("  w: 1.0\n", "  w: 1.0\nsolver:\n  grid: {price_step: 1, price_min: 0, "
+         "price_max: 5, price_step: 2}\n",
+         r"solver\.grid\.price_step: duplicate key at line 12, column 53"),
+    ),
+    ids=("alternative", "document", "grid"),
+)
+def test_duplicate_key_names_its_path_and_position(find, replace, message):
+    # YAML would keep the last value: B sold at 80, the power cost replacing
+    # the piecewise one, a grid step of 2
+    assert find in RUNNING
+    with pytest.raises(InstanceFileError, match=rf"^{message}$"):
+        parse_instance(RUNNING.replace(find, replace, 1))
+
+
 def test_yaml_error_carries_position():
     with pytest.raises(InstanceFileError, match=r"line \d+"):
         parse_instance("alternatives:\n  - {id: A, u: 10\n")

@@ -27,7 +27,7 @@ from temptmenu import (
     realized_outcome,
 )
 from temptmenu import model
-from helpers import four_product_instance, running_instance
+from helpers import four_product_instance, near_tie_instance, running_instance
 
 PW = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
 
@@ -196,6 +196,20 @@ def test_accepts_at_exact_indifference():
     assert accepts(Contract((Offer(A, 10.0),), 0, ContractKind.COMMITMENT))
     assert not accepts(Contract((Offer(A, 10.01),), 0, ContractKind.COMMITMENT))
     assert accepts(optimal_menu())
+
+
+def test_accepts_on_the_best_perceived_value_not_the_tie_broken_pick():
+    # B's perceived value is -1.3e-10, inside the tie window of the bait's 0,
+    # and B earns more: the tie-break picks B, the consumer signs on A's value
+    inst = near_tie_instance()
+    a, b, _ = inst.alternatives
+    menu = Contract((Offer(b, 8.000000000033333), Offer(a, 10.0)), 0, ContractKind.INDULGING)
+    assert perceived_choice(menu) is menu.offers[0]
+    assert perceived_utilities(menu)[0] < 0.0 == perceived_utilities(menu)[1]
+    assert accepts(menu)
+    out = realized_outcome(menu, inst.cost_fn)
+    assert out.chosen is menu.offers[0]
+    assert out.profit == 8.000000000033333
 
 
 def test_realized_outcome_singleton():

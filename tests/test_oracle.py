@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temptmenu import (
-    CHOICE_TIE_TOL,
     PRICE_TOL,
     Alternative,
+    Contract,
     GridSpec,
     GridTooLarge,
     Offer,
@@ -25,10 +25,12 @@ from temptmenu import (
     indulging_contract,
     optimal_contract,
     oversize_menu_search,
+    accepts,
+    realized_outcome,
     verify_solution,
 )
 from temptmenu import _kernels, oracle
-from helpers import random_pw_instance, running_instance, with_power_cost
+from helpers import near_tie_instance, random_pw_instance, running_instance, with_power_cost
 
 MODES = ("exhaustive", "bracketed")
 
@@ -363,7 +365,6 @@ def _subset_results(inst, prices, mode):
             tuple(alts[i].c for i in subset),
             [prices[i] for i in subset],
             inst.cost_fn,
-            CHOICE_TIE_TOL,
             mode,
         )
         for size in (2, 3)
@@ -395,6 +396,66 @@ def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
     if estimate == "inf":
         # every row is alive here (all u >= 0 = lowest price), and none is confirmed
         assert all(s.fallback_rows == s.tuples for s in stats.sizes[1:])
+
+
+# -- one choice rule ----------------------------------------------------------------
+
+
+@given(
+    shifts=st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+    size=st.sampled_from((2, 3)),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernels_sign_and_pick_by_the_model_rule(shifts, size, mode):
+    # each price within a few tie windows of the optimal menu (B, bait A,
+    # decoy C), so that both the signing test and the choice window see near-ties
+    inst = near_tie_instance()
+    optimum = optimal_contract(inst).contract.offers[:size]
+    alts = tuple(o.alternative for o in optimum)
+    prices = [o.price + 2.5e-10 * k for o, k in zip(optimum, shifts)]
+    menu = Contract(tuple(Offer(x, p) for x, p in zip(alts, prices)), 0,
+                    oracle._SIZE_KIND[size])
+    found = _kernels.search_subset(
+        tuple(x.u for x in alts), tuple(x.v for x in alts), tuple(x.c for x in alts),
+        [np.array([p]) for p in prices], inst.cost_fn, mode,
+    )
+    outcome = realized_outcome(menu, inst.cost_fn)
+    assert (found is not None) == accepts(menu) == (outcome.chosen is not None)
+    if found is not None:
+        assert found[0] == outcome.profit
+
+
+def test_near_tie_optimum_replays_as_sold():
+    inst = near_tie_instance()
+    sol = optimal_contract(inst)
+    assert sol.sold.id == "B" and sol.profit == 8.000000000033333
+    outcome = realized_outcome(sol.contract, inst.cost_fn)
+    assert outcome.chosen is sol.contract.intended_offer
+    assert outcome.profit == sol.profit
+    report = verify_solution(sol, inst)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analytic", (True, False))
+def test_grid_search_replays_the_near_tie_menu(mode, analytic):
+    inst = near_tie_instance()
+    step = 0.5
+    grid = GridSpec(price_step=step, price_min=0.0, price_max=20.0,
+                    include_analytic_prices=analytic)
+    sol = grid_best_contract(inst, grid, mode=mode)
+    analytic_profit = optimal_contract(inst).profit
+    assert sol is not None
+    assert analytic_profit - 3.0 * step <= sol.profit <= analytic_profit + 1e-9
+    assert menu_ids(sol) == ("A", "B") and sol.sold.id == "B"
+    if analytic:
+        assert sol.profit == analytic_profit
+
+
+def test_verify_solution_takes_only_its_three_tolerances():
+    params = inspect.signature(verify_solution).parameters
+    assert list(params) == ["sol", "inst", "choice_slack", "epsilon_discount", "tie_tol"]
 
 
 # -- solution replay ----------------------------------------------------------------
