@@ -20,6 +20,19 @@ lexicographically smallest price-index tuple):
   guides; the window test decides every index, so the result is exact
   and identical to bisecting every row.
 
+  Before any window check, a row is pruned when it cannot reach
+  ``F = max(best so far, floor)``, ``floor`` being the best profit of the
+  subsets searched before.  Let ``i_F`` be the lowest index whose profit
+  reaches ``F``.  A row is kept only if its highest allowed index is at
+  least ``i_F`` and, at price ``p = Pd[i_F]``, the designated offer is
+  the most tempting, ``vd - p > vmax``, or ``ud - p >= top -
+  CHOICE_TIE_TOL``, with ``vmax = max(vo)`` and ``top`` the others' best
+  overall utility at that temptation.  As ``phi >= 0``, the window at any
+  index implies one of the two there, and both sides are monotone in the
+  index under IEEE subtraction, so the bound is exact and needs no new
+  tolerance.  Rows whose profit can equal ``F`` are kept, so the tie
+  order is unchanged.
+
 The cost is the instance's cost object; the kernels only call its
 elementwise ``phi_array``.  Both searches apply the model's choice rule:
 a menu is signed when ``max(u - p) >= 0`` (``model.accepts``), and an
@@ -78,11 +91,13 @@ ROW_BLOCK = 1 << 14
 
 @dataclass
 class Tally:
-    """Work counters a search adds to: rows walked, window checks, bisected rows."""
+    """Work counters a search adds to: rows walked, window checks, bisected
+    rows, and rows pruned without a window check."""
 
     tuples: int = 0
     window_checks: int = 0
     fallback_rows: int = 0
+    pruned: int = 0
 
 
 def psi_table(prices, v, cost):
@@ -113,17 +128,23 @@ def _window(ud, vd, Pd, uo, vo, cost):
     return window
 
 
-def _threshold(ud, vd, uo, vo, cost, table):
+def _rival(uo, vo, cost):
+    """Per row: ``vmax``, the others' largest temptation value, and ``top``,
+    their best overall utility when one of them is the most tempting."""
+    vmax = reduce(np.maximum, vo)
+    top = reduce(np.maximum, [a - cost.phi_array(vmax - b) for a, b in zip(uo, vo)])
+    return vmax, top
+
+
+def _threshold(ud, vd, uo, vo, vmax, top, table):
     """Continuous price at which the designated offer leaves the tie window.
 
-    Past ``s = vd - max(vo)`` another offer is the most tempting and the
-    others' best overall utility is a per-row constant; below ``s`` the
-    designated offer is the most tempting and each other offer bounds its
-    price on its own.  Both bounds invert the same ``psi``.
+    Past ``s = vd - vmax`` another offer is the most tempting and the
+    others' best overall utility is the per-row constant ``top``; below
+    ``s`` the designated offer is the most tempting and each other offer
+    bounds its price on its own.  Both bounds invert the same ``psi``.
     """
-    vmax = reduce(np.maximum, vo)
     s = vd - vmax
-    top = reduce(np.maximum, [a - cost.phi_array(vmax - b) for a, b in zip(uo, vo)])
     above = s + psi_inverse(ud - s - top + CHOICE_TIE_TOL, *table)
     below = reduce(
         np.minimum,
@@ -147,9 +168,13 @@ def _bisect(window, hi, tally):
         hi2 = np.where(open_ & ~good, mid, hi2)
 
 
-def bracketed(u, v, c, prices, caps, cost, tally):
+def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
     """Designated-offer search, vectorized over the other offers' price grids,
-    in blocks of ``ROW_BLOCK`` rows."""
+    in blocks of ``ROW_BLOCK`` rows.
+
+    A row is pruned, before any window check, when its profit bound falls
+    short of ``max(best so far, floor)``; rows that can tie it are kept.
+    """
     m = len(prices)
     table = psi_table(prices, v, cost)
     best = -np.inf
@@ -158,48 +183,62 @@ def bracketed(u, v, c, prices, caps, cost, tally):
         others = [t for t in range(m) if t != d]
         Pd = prices[d]
         nd = len(Pd)
+        margins = Pd - c[d]
         sizes = tuple(len(prices[t]) for t in others)
         total = int(np.prod(sizes))
         for start in range(0, total, ROW_BLOCK):
             flat = np.arange(start, min(start + ROW_BLOCK, total))
+            tally.tuples += flat.size
             oidx = np.unravel_index(flat, sizes)
             po = [prices[t][i] for t, i in zip(others, oidx)]
             uo = [u[t] - p for t, p in zip(others, po)]
-            vo = [v[t] - p for t, p in zip(others, po)]
             bait_ok = reduce(np.logical_or, [x >= 0.0 for x in uo])
             hi = np.where(bait_ok, nd - 1, caps[d])
-            alive = hi >= 0
+            # prune the rows that cannot reach the running best (module
+            # docstring); i_f is the lowest index whose profit reaches it
+            i_f = int(np.searchsorted(margins, max(best, floor), side="left"))
+            rows = np.flatnonzero(hi >= i_f)
+            uo = [x[rows] for x in uo]
+            vo = [v[t] - p[rows] for t, p in zip(others, po)]
+            vmax, top = _rival(uo, vo, cost)
+            pf = Pd[min(i_f, nd - 1)]
+            keep = ((u[d] - pf) >= (top - CHOICE_TIE_TOL)) | ((v[d] - pf) > vmax)
+            rows = rows[keep]
+            tally.pruned += flat.size - rows.size
+            if not rows.size:
+                continue
+            uo = [x[keep] for x in uo]
+            vo = [x[keep] for x in vo]
+            vmax, top, hi = vmax[keep], top[keep], hi[rows]
 
             window = _window(u[d], v[d], Pd, uo, vo, cost)
-            est = _threshold(u[d], v[d], uo, vo, cost, table)
+            est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
             hit = (
-                alive
-                & np.isfinite(est)
+                np.isfinite(est)
                 & ((lo < 0) | window(lo))
                 & ((lo >= hi) | ~window(lo + 1))
             )
-            tally.tuples += flat.size
-            tally.window_checks += 2 * flat.size
-            miss = np.flatnonzero(alive & ~hit)
+            tally.window_checks += 2 * rows.size
+            miss = np.flatnonzero(~hit)
             if miss.size:
                 tally.fallback_rows += miss.size
                 sub = _window(
                     u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost
                 )
                 lo[miss] = _bisect(sub, hi[miss], tally)
-            valid = alive & (lo >= 0)
+            valid = lo >= 0
             if not valid.any():
                 continue
-            profit = np.where(valid, Pd[np.clip(lo, 0, nd - 1)] - c[d], -np.inf)
+            profit = np.where(valid, margins[np.clip(lo, 0, nd - 1)], -np.inf)
             local = float(profit.max())
             if local < best:
                 continue
-            cand = np.flatnonzero(profit == local)
+            cand = rows[profit == local]
             tup = np.empty((m, cand.size), dtype=np.int64)
             # adjacent prices can round to the same margin: the tie order
             # wants the lowest such index, which the window also holds at
-            tup[d] = np.searchsorted(Pd - c[d], local, side="left")
+            tup[d] = np.searchsorted(margins, local, side="left")
             for t, i in zip(others, oidx):
                 tup[t] = i[cand]
             order = np.lexsort(tup[::-1])
@@ -220,7 +259,7 @@ def _cap(P: np.ndarray, value: float) -> int:
     return int(np.searchsorted(P, value, side="right")) - 1
 
 
-def search_subset(u, v, c, prices, cost, mode, tally=None):
+def search_subset(u, v, c, prices, cost, mode, tally=None, floor=-math.inf):
     """Best accepted menu over one subset's price grids.
 
     ``u, v, c`` are per-offer parameter tuples, ``prices`` sorted unique
@@ -229,7 +268,10 @@ def search_subset(u, v, c, prices, cost, mode, tally=None):
     menu is rejected.  Both modes return the identical result: max profit,
     lexicographically smallest index tuple.  ``tally``, when given, counts
     the work: a single offer is one row looked up without a window check,
-    ``exhaustive`` checks every price tuple once.
+    ``exhaustive`` checks every price tuple once.  ``floor`` lets
+    ``bracketed`` prune rows whose profit is below it: the result is
+    unchanged when the optimum reaches ``floor``, and otherwise None or a
+    profit below ``floor``.
     """
     if tally is None:
         tally = Tally()
@@ -248,4 +290,4 @@ def search_subset(u, v, c, prices, cost, mode, tally=None):
         tally.window_checks += work
         return exhaustive(u_arr, v_arr, c_arr, prices, cost)
     caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
-    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tally)
+    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tally, floor)

@@ -136,15 +136,19 @@ class SizeStats:
     ``tuples`` counts the rows walked: in ``bracketed`` mode the other
     offers' price tuples, once per designated offer; in ``exhaustive``
     mode every price tuple; a one-offer subset is one row (a direct cap
-    lookup).  ``window_checks`` counts per-row tie-window evaluations: two
-    per row to confirm the threshold estimate, plus one per bisection pass
-    over the ``fallback_rows``, the rows whose estimate was not confirmed.
+    lookup).  ``pruned`` counts the bracketed rows dropped before any window
+    check because their profit bound is below the best profit found so far,
+    in this subset or an earlier one.  ``window_checks`` counts per-row
+    tie-window evaluations: two per row that is not pruned, to confirm the
+    threshold estimate, plus one per bisection pass over the
+    ``fallback_rows``, the rows whose estimate was not confirmed.
     """
 
     size: int
     tuples: int
     window_checks: int
     fallback_rows: int
+    pruned: int
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,11 @@ def _best_over_subsets(
     mode: str,
     tallies: dict[int, _kernels.Tally],
 ):
-    """Scan subsets in deterministic order; returns (profit, subset, idx_tuple)."""
+    """Scan subsets in deterministic order; returns (profit, subset, idx_tuple).
+
+    A subset only wins on a strictly higher profit, so each search is given
+    the best profit so far as the floor below which it may prune.
+    """
     from . import _kernels
     alts = inst.alternatives
     best = None
@@ -173,7 +181,7 @@ def _best_over_subsets(
             c = tuple(alts[i].c for i in subset)
             res = _kernels.search_subset(
                 u, v, c, [prices[i] for i in subset], inst.cost_fn, mode,
-                tally=tallies[size],
+                tally=tallies[size], floor=-math.inf if best is None else best[0],
             )
             if res is None:
                 continue

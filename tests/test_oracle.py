@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temptmenu import (
+    CHOICE_TIE_TOL,
     PRICE_TOL,
     Alternative,
     Contract,
@@ -324,9 +325,19 @@ def test_search_stats_count_rows_by_hand(running):
     # offers over 3 * 3 tuples of the other two
     assert [(s.size, s.tuples) for s in stats.sizes] == [(1, 3), (2, 18), (3, 27)]
     assert stats.sizes[0].window_checks == stats.sizes[0].fallback_rows == 0
+    # A alone at 10 earns 5, the largest margin on this grid (c = 5 for
+    # all), so every later row is pruned unless its window can hold at the
+    # designated price 10: d's own utility there, u_d - 10, must reach the
+    # others' best overall utility less the tie window, or d must be the
+    # most tempting, v_d - 10 > max(v_o).  By hand, with phi(x) = x/2 up
+    # to 1 and 2x - 1.5 beyond, rows kept per designated offer:
+    # size 2 - (A,B): A 1, B 1; (A,C): A 2, C 2; (B,C): B 0, C 0;
+    # size 3 - A 2 (B, C at (10,5), (10,10)), B 3 ((5,5), (10,5), (10,10)),
+    # C 2 ((5,10), (10,10), the two rows where C is the most tempting)
+    assert [s.pruned for s in stats.sizes] == [0, 18 - 6, 27 - 7]
     for s in stats.sizes[1:]:
-        assert s.fallback_rows <= s.tuples
-        assert s.window_checks >= 2 * s.tuples
+        assert s.fallback_rows <= s.tuples - s.pruned
+        assert s.window_checks >= 2 * (s.tuples - s.pruned)
     _, ex = grid_best_contract(running, grid, mode="exhaustive", stats=True)
     assert ex.mode == "exhaustive"
     assert [
@@ -344,6 +355,87 @@ def test_fallback_rows_are_a_small_share(running, power):
     assert sum(s.fallback_rows for s in stats.sizes) < 0.2 * sum(
         s.tuples for s in stats.sizes
     )
+
+
+def test_pruning_cuts_power_cost_fallback_rows(running):
+    # round power parameters put many thresholds exactly on decimal grid
+    # points, where the interpolated estimate lands one index low; without
+    # pruning about 9.5% of these rows were bisected
+    grid = GridSpec(
+        price_step=0.05, price_min=0.0, price_max=20.0, include_analytic_prices=False
+    )
+    _, stats = grid_best_contract(with_power_cost(running), grid, stats=True)
+    rows = sum(s.tuples for s in stats.sizes)
+    assert sum(s.fallback_rows for s in stats.sizes) < 0.01 * rows
+    assert sum(s.pruned for s in stats.sizes) > 0.9 * rows
+
+
+def _assert_floor_is_exact(u, v, c, prices, cost, step):
+    """``bracketed`` under a floor: exact when the optimum reaches it, else
+    below it.  Returns the ``exhaustive`` result."""
+    reference = _kernels.search_subset(u, v, c, prices, cost, "exhaustive")
+    optimum = -np.inf if reference is None else reference[0]
+    floors = (-np.inf, optimum - step, optimum, np.nextafter(optimum, np.inf))
+    walked = set()  # every row is walked, whatever the floor
+    for floor in floors:
+        tally = _kernels.Tally()
+        found = _kernels.search_subset(
+            u, v, c, prices, cost, "bracketed", tally=tally, floor=floor
+        )
+        walked.add(tally.tuples)
+        if reference is not None and optimum >= floor:
+            assert found == reference, floor
+        else:
+            assert found is None or found[0] < floor, floor
+    assert len(walked) == 1
+    return reference
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    power=st.booleans(),
+    analytic=st.booleans(),
+    subset=st.sampled_from([s for size in (2, 3) for s in combinations(range(4), size)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_prunes_only_rows_below_it(seed, power, analytic, subset):
+    rng = np.random.default_rng(seed)
+    inst = random_pw_instance(rng, n=4)
+    if power:
+        inst = with_power_cost(inst, float(rng.uniform(0.1, 3.0)), float(rng.uniform(1.2, 3.0)))
+    step = 0.5
+    grid = GridSpec(price_step=step, price_min=0.0, price_max=22.0,
+                    include_analytic_prices=analytic)
+    prices = oracle._price_arrays(inst, grid, PRICE_TOL)
+    alts = [inst.alternatives[i] for i in subset]
+    _assert_floor_is_exact(
+        tuple(x.u for x in alts), tuple(x.v for x in alts), tuple(x.c for x in alts),
+        [prices[i] for i in subset], inst.cost_fn, step,
+    )
+
+
+@given(bits=st.integers(30, 33), price=st.sampled_from((1.0, 2.0, 8.0, 12.5)))
+@settings(max_examples=16, deadline=None)
+def test_floor_keeps_rows_exactly_on_the_bound(bits, price):
+    cost = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
+    # the optimum sells the first offer at ``price``, with the second as a
+    # bait at 0.0 that is exactly as tempting; the first one's utility
+    # there is -2**-bits, inside the tie window and exactly the bait's
+    # utility less the window
+    own = -(2.0**-bits)
+    bait_u = own + CHOICE_TIE_TOL
+    assert bait_u - CHOICE_TIE_TOL == own
+    grid = price + np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert _assert_floor_is_exact(
+        (price + own, bait_u), (price + 1.0, 1.0), (0.0, 0.0),
+        [grid, np.array([0.0, 0.5, 1.0])], cost, 0.5,
+    ) == (price, (2, 0))
+    # the optimum sells the first offer at its own value ``price``; the
+    # second is priced out, so that is also the highest index the row may reach
+    assert _assert_floor_is_exact(
+        (price, 0.2), (price, 0.3), (0.0, 0.0),
+        [grid, np.array([0.5, 1.0])], cost, 0.5,
+    ) == (price, (2, 0))
 
 
 def _wrong_estimate(kind, step):
@@ -394,8 +486,9 @@ def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
     assert menu_prices(sol) == menu_prices(expected_coarse)
     assert menu_ids(sol) == menu_ids(expected_coarse)
     if estimate == "inf":
-        # every row is alive here (all u >= 0 = lowest price), and none is confirmed
-        assert all(s.fallback_rows == s.tuples for s in stats.sizes[1:])
+        # every row that is not pruned is alive (all u >= 0 = lowest price),
+        # and none is confirmed
+        assert all(s.fallback_rows == s.tuples - s.pruned for s in stats.sizes[1:])
 
 
 # -- one choice rule ----------------------------------------------------------------
