@@ -15,7 +15,10 @@ lexicographically smallest price-index tuple):
   from ``psi(x) = x + phi(x)``, inverted on one table for both cost
   families, snaps it to the grid, and confirms it with two window
   checks: the window holds at the snapped index and fails one index
-  higher.  Rows that fail the confirmation, including non-finite
+  higher.  Where it holds at both, the estimate is one index low (common
+  when round power-cost parameters put thresholds on grid points), and a
+  third check, the window failing two indices higher, confirms the next
+  index.  Rows that fail the confirmation, including non-finite
   estimates, are bisected on the window test instead.  The estimate only
   guides; the window test decides every index, so the result is exact
   and identical to bisecting every row.
@@ -214,12 +217,20 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
             window = _window(u[d], v[d], Pd, uo, vo, cost)
             est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
-            hit = (
-                np.isfinite(est)
-                & ((lo < 0) | window(lo))
-                & ((lo >= hi) | ~window(lo + 1))
-            )
+            holds = np.isfinite(est) & ((lo < 0) | window(lo))
+            holds_up = (lo < hi) & window(lo + 1)
             tally.window_checks += 2 * rows.size
+            hit = holds & ~holds_up
+            # an estimate one index low holds one index higher too: confirm
+            # that index by the window failing above it
+            up = np.flatnonzero(holds & holds_up)
+            if up.size:
+                sub = _window(u[d], v[d], Pd, [x[up] for x in uo], [x[up] for x in vo], cost)
+                nxt = lo[up] + 1
+                ok = up[(nxt >= hi[up]) | ~sub(nxt + 1)]
+                tally.window_checks += up.size
+                lo[ok] += 1
+                hit[ok] = True
             miss = np.flatnonzero(~hit)
             if miss.size:
                 tally.fallback_rows += miss.size

@@ -3,7 +3,7 @@
 Exit codes, all assigned by the command group: 0 ok; 1 input problem, a
 click usage message or one ``error:`` line (unreadable or invalid file,
 tied roles, bad option value, grid too large); 2 solver failure, one
-``solver failure: <Type>: <msg>`` line (``BracketFailure``: a bisected
+``solver failure: <Type>: <msg>`` line (``BracketFailure``: a searched
 price misses the residual tolerance, as with a steep power cost at large
 money scales, where no double meets it; ``OverflowError``: a price past
 the largest double); 3 verification failure.  ``verify`` takes each grid

@@ -105,6 +105,13 @@ class PiecewiseLinearCost:
             return self.l * t
         return self.k * (t - self.w) + self.l * self.w
 
+    def phi_inverse(self, y: float) -> float:
+        if y <= 0.0:
+            return 0.0
+        if y <= self.l * self.w:
+            return y / self.l
+        return self.w + (y - self.l * self.w) / self.k
+
     def phi_array(self, t):
         import numpy as np
         t = np.maximum(t, 0.0)
@@ -146,6 +153,12 @@ class PowerCost:
         except OverflowError:
             return math.inf
 
+    def phi_inverse(self, y: float) -> float:
+        if y <= 0.0:
+            return 0.0
+        # y / alpha overflows to inf, never raises; an exponent <= 1 cannot overflow
+        return (y / self.alpha) ** (1.0 / self.gamma)
+
     def phi_array(self, t):
         import numpy as np
         return self.alpha * np.power(np.maximum(t, 0.0), self.gamma)
@@ -158,7 +171,9 @@ class PowerCost:
 CostFunction = PiecewiseLinearCost | PowerCost
 """Self-control cost family.  Each class owns what depends on the family:
 ``phi(t)``, 0 for ``t <= 0`` (root-finders probe freely) and ``inf`` where
-it overflows; ``phi_array`` on numpy arrays; ``has_closed_forms``;
+it overflows; its inverse ``phi_inverse(y)``, 0 for ``y <= 0`` and ``inf``
+where it overflows, which brackets the solver's root search;
+``phi_array`` on numpy arrays; ``has_closed_forms``;
 ``decoy_is_idle(gap)``; and ``kind``, its name in instance files."""
 
 

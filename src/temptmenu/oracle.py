@@ -140,8 +140,9 @@ class SizeStats:
     check because their profit bound is below the best profit found so far,
     in this subset or an earlier one.  ``window_checks`` counts per-row
     tie-window evaluations: two per row that is not pruned, to confirm the
-    threshold estimate, plus one per bisection pass over the
-    ``fallback_rows``, the rows whose estimate was not confirmed.
+    threshold estimate, one more per row whose estimate was one index low,
+    to confirm the next index, plus one per bisection pass over the
+    ``fallback_rows``, the rows where neither was confirmed.
     """
 
     size: int

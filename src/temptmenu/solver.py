@@ -10,10 +10,12 @@ Three menu designs are priced for each candidate product ``x``:
   consumer is exactly indifferent to the decoy.
 
 All three pricing equations are one equation in the resisted gap ``t``,
-``psi(t) = t + phi(t) = y``, which ``psi_root`` bisects on ``[0, y]`` to
-adjacent doubles; such a price must meet ``PRICE_TOL`` in its own
-equation.  Where the cost family has closed forms (the piecewise-linear
-one), they replace the bisection; the test suite checks them against it.
+``psi(t) = t + phi(t) = y``.  ``psi_root`` solves it to adjacent doubles
+by secant steps from a bracket that the cost's ``phi_inverse`` gives, and
+returns the double that bisecting ``[0, y]`` would; such a price must meet
+``PRICE_TOL`` in its own equation.  Where the cost family has closed forms
+(the piecewise-linear one), they replace the search; the test suite
+checks them against it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .model import (
     ProblemInstance,
     overall_utilities,
 )
+
+_STALL_STEPS = 3
+"""Secant steps ``solve_monotone_price`` takes without halving its bracket
+before it takes a midpoint step."""
 
 PRICE_TOL = 1e-10
 """Default absolute residual tolerance for the implicit price equations."""
@@ -68,36 +74,76 @@ class Solution:
 
 
 def solve_monotone_price(residual: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a continuous, nondecreasing residual on ``[lo, hi]`` by bisection.
+    """Root of a continuous, nondecreasing residual on ``[lo, hi]``.
 
     Raises ``BracketFailure`` unless ``residual(lo) <= 0 <= residual(hi)``.
-    Halves the bracket until its midpoint equals an endpoint, so the ends
-    are adjacent doubles, and returns the end with the smaller
-    ``|residual|``.
+    Narrows the bracket until its ends are adjacent doubles and returns
+    the end with the smaller ``|residual|``.  Each step is a secant step
+    through the last two iterates, kept strictly inside the bracket: one
+    that would land on or past an end is pulled to that end's neighbouring
+    double, which closes the bracket as soon as the iterate has converged.
+    A midpoint step follows whenever the bracket failed to halve over the
+    last ``_STALL_STEPS`` steps, so no root costs more than about
+    ``_STALL_STEPS + 1`` times the evaluations of bisection.  ``lo`` moves
+    on ``residual < 0`` and ``hi`` otherwise, as in bisection, so on a
+    residual that is monotone in its computed doubles the ends converge to
+    the one adjacent pair with ``residual(lo) < 0 <= residual(hi)``, and
+    the returned double is the one bisection would return.
     """
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo <= 0.0 <= r_hi:
         raise BracketFailure(f"no sign change in [{lo}, {hi}]")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if -r_lo <= r_hi else hi
-        r_mid = residual(mid)
-        if r_mid < 0.0:
-            lo, r_lo = mid, r_mid
+    a, r_a, b, r_b = lo, r_lo, hi, r_hi  # the last two iterates, b the newest
+    halved_at, stalled = hi - lo, 0
+    while math.nextafter(lo, hi) != hi:
+        x = mid = 0.5 * lo + 0.5 * hi  # cannot overflow, unlike 0.5 * (lo + hi)
+        if stalled < _STALL_STEPS and r_b != r_a:
+            x = b - r_b * (b - a) / (r_b - r_a)
+            if x != x:  # nan, from an infinite residual
+                x = mid
+        if x <= lo:
+            x = math.nextafter(lo, hi)
+        elif x >= hi:
+            x = math.nextafter(hi, lo)
+        r_x = residual(x)
+        a, r_a, b, r_b = b, r_b, x, r_x
+        if r_x < 0.0:
+            lo, r_lo = x, r_x
         else:
-            hi, r_hi = mid, r_mid
+            hi, r_hi = x, r_x
+        if hi - lo <= 0.5 * halved_at:
+            halved_at, stalled = hi - lo, 0
+        else:
+            stalled += 1
+    return lo if -r_lo <= r_hi else hi
 
 
 def psi_root(cost: CostFunction, y: float) -> float:
-    """Resisted gap ``t`` with ``t + phi(t) = y``; 0 for ``y <= 0``.
+    """Resisted gap ``t`` with ``psi(t) = t + phi(t) = y``; 0 for ``y <= 0``.
 
-    Every implicit price is ``psi^-1`` of a temptation gap.  ``phi >= 0``
-    puts the root in ``[0, y]``, so the bracket holds by construction.
+    Every implicit price is ``psi^-1`` of a temptation gap.  As
+    ``max(t, phi(t)) <= psi(t) <= 2 max(t, phi(t))``, the root lies in
+    ``[min(y/2, phi^-1(y/2)), min(y, phi^-1(y))]``, which the search
+    starts from.  Where rounding breaks that bracket's sign check, or the
+    root sits on its lower end (where a flat run of zero residuals could
+    hold a lower double), the search runs again on ``[0, y]``, which
+    ``phi >= 0`` brackets by construction.  Either way the result is the
+    double that bisecting ``[0, y]`` returns.
     """
     if y <= 0.0:
         return 0.0
-    return solve_monotone_price(lambda t: t + cost.phi(t) - y, 0.0, y)
+
+    def residual(t: float) -> float:
+        return t + cost.phi(t) - y
+
+    lo = min(0.5 * y, cost.phi_inverse(0.5 * y))
+    try:
+        t = solve_monotone_price(residual, lo, min(y, cost.phi_inverse(y)))
+    except BracketFailure:  # rounding broke the bracket's sign check
+        t = lo
+    if t == lo:  # a flat run of zero residuals may reach below lo
+        return solve_monotone_price(residual, 0.0, y)
+    return t
 
 
 def _finite(price: float, what: str) -> None:
@@ -109,7 +155,7 @@ def _finite(price: float, what: str) -> None:
 def _accepted(
     price: float, g: Callable[[float], float], tol: float, what: str
 ) -> tuple[float, float]:
-    """A bisected ``price`` and its residual ``|g(price)|``, which must be ``<= tol``."""
+    """A searched ``price`` and its residual ``|g(price)|``, which must be ``<= tol``."""
     residual = abs(g(price))
     if residual > tol:
         raise BracketFailure(f"{what}: residual {residual:.3g} exceeds tol {tol:g}")

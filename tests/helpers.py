@@ -130,19 +130,53 @@ class BisectedPiecewiseCost(PiecewiseLinearCost):
     """The piecewise-linear cost with its closed forms hidden from the solver.
 
     Every price of an instance holding it comes from the production
-    psi-bisection on the piecewise ``phi``: the reference the closed forms
-    are checked against.
+    ``psi_root`` search on the piecewise ``phi``: the reference the closed
+    forms are checked against.
     """
 
     has_closed_forms = False
 
 
 def bisecting(inst: ProblemInstance) -> ProblemInstance:
-    """``inst`` priced by the psi-bisection alone.
+    """``inst`` priced by the ``psi_root`` search alone.
 
     A piecewise cost becomes a ``BisectedPiecewiseCost``; a family without
-    closed forms bisects already, so its instance is returned as it is.
+    closed forms is searched already, so its instance is returned as it is.
     """
     if not inst.cost_fn.has_closed_forms:
         return inst
     return ProblemInstance(inst.alternatives, BisectedPiecewiseCost(**asdict(inst.cost_fn)))
+
+
+def bisect_monotone(residual, lo: float, hi: float) -> tuple[float, int]:
+    """Reference root finder: halve ``[lo, hi]`` until the ends are adjacent
+    doubles, return the end with the smaller ``|residual|`` and the number
+    of residual evaluations.
+
+    The library's root finder before its secant search, kept literally:
+    on a residual monotone in its computed doubles, ``solve_monotone_price``
+    must return the same double.  Returns ``(None, evaluations)`` when the
+    bracket has no sign change.
+    """
+    evals = 2
+    r_lo, r_hi = residual(lo), residual(hi)
+    if not r_lo <= 0.0 <= r_hi:
+        return None, evals
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return (lo if -r_lo <= r_hi else hi), evals
+        r_mid = residual(mid)
+        evals += 1
+        if r_mid < 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+
+
+def bisected_psi_root(cost, y: float) -> tuple[float, int]:
+    """``psi^-1(y)`` by ``bisect_monotone`` on ``[0, y]`` and its evaluations:
+    the reference ``psi_root`` is checked against."""
+    if y <= 0.0:
+        return 0.0, 0
+    return bisect_monotone(lambda t: t + cost.phi(t) - y, 0.0, y)

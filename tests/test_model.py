@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from temptmenu import (
@@ -95,6 +95,68 @@ def test_phi_power_monotone_and_midpoint_convex(alpha, gamma):
     for i in range(0, 199, 2):
         mid = cost.phi(0.5 * (grid[i] + grid[i + 2]))
         assert mid <= 0.5 * (values[i] + values[i + 2]) + 1e-12
+
+
+def _carried_error(cost, t):
+    """Bound on ``|phi(t) - phi(t*)|`` for ``t`` a few roundings off ``t*``.
+
+    The power form raises to the rounded exponent ``1/gamma``, which moves
+    ``t`` by up to ``ulp(t) * |ln t|`` more; ``phi`` carries the error
+    through its slope.
+    """
+    if isinstance(cost, PowerCost):
+        slope = cost.alpha * cost.gamma * t ** (cost.gamma - 1.0)
+        return slope * math.ulp(t) * (1.0 + abs(math.log(t)))
+    return (cost.l if t < cost.w else cost.k) * math.ulp(t)
+
+
+@given(
+    cost=st.one_of(
+        st.builds(
+            PiecewiseLinearCost,
+            l=st.floats(0.01, 0.99),
+            k=st.floats(1.01, 8.0),
+            w=st.floats(0.0, 1e6),
+        ),
+        st.builds(PowerCost, alpha=st.floats(1e-3, 1e3), gamma=st.floats(1.0, 100.0)),
+    ),
+    y=st.floats(1e-12, 1e15),
+)
+@settings(max_examples=300)
+def test_phi_inverse_inverts_phi(cost, y):
+    t = cost.phi_inverse(y)
+    assume(math.isfinite(cost.phi(t)))
+    assert abs(cost.phi(t) - y) <= 4.0 * (math.ulp(y) + _carried_error(cost, t))
+
+
+@pytest.mark.parametrize(
+    "cost", [PW, PiecewiseLinearCost(l=0.3, k=4.0, w=0.0), PowerCost(2.0, 3.0)]
+)
+def test_phi_inverse_is_zero_at_and_below_zero(cost):
+    assert cost.phi_inverse(0.0) == 0.0
+    assert cost.phi_inverse(-1.0) == 0.0
+
+
+def test_phi_inverse_monotone_across_the_kink():
+    cost = PiecewiseLinearCost(l=0.3, k=4.0, w=2.5)
+    kink = cost.l * cost.w
+    ys = [kink * (1.0 + d) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
+    y = kink
+    for _ in range(20):
+        y = math.nextafter(y, 0.0)
+    for _ in range(40):
+        ys.append(y)
+        y = math.nextafter(y, math.inf)
+    ts = [cost.phi_inverse(y) for y in sorted(ys)]
+    assert all(b >= a for a, b in zip(ts, ts[1:]))
+    assert cost.phi_inverse(kink) == pytest.approx(cost.w, rel=1e-15)
+
+
+def test_phi_inverse_is_inf_where_the_power_form_overflows():
+    assert PowerCost(1e-300, 1.0).phi_inverse(1e300) == math.inf
+    assert PowerCost(1e-10, 2.0).phi_inverse(1.7e308) == math.inf
+    assert PowerCost(1.0, 2.0).phi_inverse(math.inf) == math.inf
+    assert PW.phi_inverse(math.inf) == math.inf
 
 
 def test_cost_parameter_validation():

@@ -29,9 +29,12 @@ from temptmenu import (
     solve_monotone_price,
     verify_solution,
 )
+from temptmenu import solver
 from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price, psi_root
 from helpers import (
     BisectedPiecewiseCost,
+    bisect_monotone,
+    bisected_psi_root,
     bisecting,
     perturbed_instance,
     random_pw_instance,
@@ -190,6 +193,133 @@ def test_solve_monotone_price_bracket_failure():
     # a bracket that misses the root is not widened
     with pytest.raises(BracketFailure, match="no sign change"):
         solve_monotone_price(lambda p: p - 8.0, 0.0, 1.0)
+
+
+def test_solve_monotone_price_returns_the_bisected_double():
+    # monotone residuals, smooth and not: flat runs (one at zero, one
+    # below it), steps, and a bracket whose lower end is a root
+    residuals = [
+        lambda p: p - 8.0,
+        lambda p: p**3 - 2.0,
+        lambda p: math.atan(p) - 1.0,
+        lambda p: 0.0 if 3.0 <= p <= 5.0 else p - 4.0,
+        lambda p: max(p - 7.0, -1.0),
+        lambda p: math.floor(p) - 3.0,
+        lambda p: p - 1e-300,
+        lambda p: 1e12 * (p - math.pi),
+    ]
+    brackets = [(0.0, 16.0), (0.0, 1e15), (-3.0, 9.5), (1.0, 10.0), (3.0, 8.0), (0.0, 1e-299)]
+    checked = 0
+    for residual in residuals:
+        for lo, hi in brackets:
+            expected, _ = bisect_monotone(residual, lo, hi)
+            if expected is None:
+                with pytest.raises(BracketFailure):
+                    solve_monotone_price(residual, lo, hi)
+            else:
+                assert solve_monotone_price(residual, lo, hi) == expected, (lo, hi)
+                checked += 1
+    assert checked > 20
+
+
+# -- psi_root: the bracketed secant search against the reference bisection --------
+
+FALLBACK = (PowerCost(0.003377375317016986, 53.43496811556651), 921273709113684.5)
+"""Rounding breaks the sign check of the ``phi^-1`` bracket here."""
+
+ROOT_ON_LOWER_END = (
+    BisectedPiecewiseCost(0.8039728780434205, 1.0886502732131125, 7.096333622685823),
+    45.57607546464948,
+)
+"""``t = phi(t) = y/2`` at the ``phi^-1`` bracket's lower end, whose computed
+residual is 0 at that end and at the double below it: bisecting ``[0, y]``
+returns the lower double, a search from the bracket the upper one."""
+
+
+def _psi_sample():
+    """``(cost, y)`` pairs: the temptation gaps of random instances under
+    population-like power costs, the badly scaled panel's ranges (gamma
+    50-100; values times 1e6-1e9), gamma 1 and next to 1, and the
+    piecewise cost priced by search, plus the two pinned fallbacks."""
+    rng = np.random.default_rng(12)
+    sample = [FALLBACK, ROOT_ON_LOWER_END]
+    for _ in range(40):
+        inst = random_pw_instance(rng)
+        pw, scale = inst.cost_fn, float(10.0 ** rng.uniform(6.0, 9.0))
+        alpha = float(rng.uniform(0.5, 2.0))
+        costs = [
+            PowerCost(alpha, float(rng.uniform(1.2, 6.0))),
+            PowerCost(alpha, float(rng.uniform(50.0, 100.0))),
+            PowerCost(alpha, float(rng.choice([1.0, 1.0 + 1e-12, 1.0 + 1e-6]))),
+        ]
+        bait, decoy = inst.least_tempting, inst.most_tempting
+        gaps = {x.e - bait.e for x in inst.alternatives} | {
+            decoy.e - x.e for x in inst.alternatives
+        }
+        for y in sorted(g for g in gaps if g > 0.0):
+            sample += [(cost, z) for cost in costs for z in (y, y * scale)]
+            sample.append((BisectedPiecewiseCost(pw.l, pw.k, pw.w), y))
+            sample.append((BisectedPiecewiseCost(pw.l, pw.k, pw.w * scale), y * scale))
+    return sample
+
+
+PSI_SAMPLE = _psi_sample()
+
+
+def _counting_root_finder(monkeypatch):
+    """Count ``psi_root``'s calls and residual evaluations where the
+    benchmark's tracer does, at the module-level ``solve_monotone_price``.
+    Returns the log: per call ``(lo, hi, raised)``, and the evaluations."""
+    log = {"calls": [], "evals": 0}
+    search = solver.solve_monotone_price
+
+    def counted(residual, lo, hi):
+        def inner(t):
+            log["evals"] += 1
+            return residual(t)
+
+        try:
+            out = search(inner, lo, hi)
+        except BracketFailure:
+            log["calls"].append((lo, hi, True))
+            raise
+        log["calls"].append((lo, hi, False))
+        return out
+
+    monkeypatch.setattr(solver, "solve_monotone_price", counted)
+    return log
+
+
+def test_psi_root_returns_the_bisected_double():
+    assert len(PSI_SAMPLE) > 2000
+    for cost, y in PSI_SAMPLE:
+        assert psi_root(cost, y) == bisected_psi_root(cost, y)[0], (cost, y)
+
+
+def test_psi_root_search_costs_a_fraction_of_bisection(monkeypatch):
+    log = _counting_root_finder(monkeypatch)
+    evals = []
+    for cost, y in PSI_SAMPLE:
+        log["evals"] = 0
+        psi_root(cost, y)
+        evals.append(log["evals"])
+        assert log["evals"] <= 2 * bisected_psi_root(cost, y)[1], (cost, y)
+    assert sum(evals) / len(evals) <= 12.0
+
+
+@pytest.mark.parametrize("case", [FALLBACK, ROOT_ON_LOWER_END], ids=["sign", "lower_end"])
+def test_psi_root_falls_back_to_the_full_bracket(monkeypatch, case):
+    cost, y = case
+    log = _counting_root_finder(monkeypatch)
+    assert psi_root(cost, y) == bisected_psi_root(cost, y)[0]
+    (lo, hi, raised), full = log["calls"]
+    assert 0.0 < lo < hi < y and full == (0.0, y, False)
+    assert raised == (case is FALLBACK)
+
+
+def test_psi_root_bracket_failure_names_the_full_bracket():
+    with pytest.raises(BracketFailure, match=r"^no sign change in \[0\.0, inf\]$"):
+        psi_root(PowerCost(1.0, 2.0), math.inf)
 
 
 # -- closed forms vs root finder -------------------------------------------------
