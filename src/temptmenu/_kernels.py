@@ -107,8 +107,7 @@ def psi_table(prices, v, cost):
     """``(x, psi(x))`` on ``[0, T]``, T the largest temptation gap the grids allow."""
     span = (max(v) - min(v)) + (max(p[-1] for p in prices) - min(p[0] for p in prices))
     xs = np.linspace(0.0, span if span > 0.0 else 1.0, PSI_NODES)
-    with np.errstate(over="ignore"):
-        return xs, xs + cost.phi_array(xs)
+    return xs, xs + cost.phi_array(xs)
 
 
 def psi_inverse(y, xs, psis):
@@ -295,10 +294,11 @@ def search_subset(u, v, c, prices, cost, mode, tally=None, floor=-math.inf):
     u_arr = np.asarray(u, dtype=np.float64)
     v_arr = np.asarray(v, dtype=np.float64)
     c_arr = np.asarray(c, dtype=np.float64)
-    if mode == "exhaustive":
-        work = math.prod(len(p) for p in prices)
-        tally.tuples += work
-        tally.window_checks += work
-        return exhaustive(u_arr, v_arr, c_arr, prices, cost)
-    caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
-    return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tally, floor)
+    with np.errstate(over="ignore"):  # phi_array overflows to inf, as phi does
+        if mode == "exhaustive":
+            work = math.prod(len(p) for p in prices)
+            tally.tuples += work
+            tally.window_checks += work
+            return exhaustive(u_arr, v_arr, c_arr, prices, cost)
+        caps = [_cap(p, u[i]) for i, p in enumerate(prices)]
+        return bracketed(u_arr, v_arr, c_arr, prices, caps, cost, tally, floor)

@@ -4,8 +4,8 @@ Exit codes, all assigned by the command group: 0 ok; 1 input problem, a
 click usage message or one ``error:`` line (unreadable or invalid file,
 tied roles, bad option value, grid too large); 2 solver failure, one
 ``solver failure: <Type>: <msg>`` line (``BracketFailure``: a searched
-price misses the residual tolerance, as with a steep power cost at large
-money scales, where no double meets it; ``OverflowError``: a price past
+price misses ``PRICE_TOL``, as with a steep power cost at large money
+scales, where no double meets it; ``OverflowError``: a price past
 the largest double); 3 verification failure.  ``verify`` takes each grid
 field from its flag, else from the file's ``solver.grid``, else from the
 default: step 0.01, from 0 to past every candidate price, and
@@ -26,13 +26,7 @@ import click
 
 from .instancefile import InstanceDocument, load_instance
 from .oracle import GridSpec, grid_best_contract
-from .solver import (
-    PRICE_TOL,
-    BracketFailure,
-    Solution,
-    classify_willpower_regime,
-    optimal_contract,
-)
+from .solver import BracketFailure, Solution, classify_willpower_regime, optimal_contract
 from .statics import sweep_willpower
 
 EXIT_INPUT = 1
@@ -94,14 +88,6 @@ def _uniform_grid(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-def _tolerance(ctx, doc: InstanceDocument) -> float:
-    if ctx.obj["tolerance"] is not None:
-        return ctx.obj["tolerance"]
-    if doc.tolerance is not None:
-        return doc.tolerance
-    return PRICE_TOL
-
-
 def _solution_dict(sol: Solution) -> dict:
     return {
         "kind": sol.kind.value,
@@ -141,19 +127,11 @@ def _print_solution(sol: Solution, fmt: str) -> None:
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     help="Output format for solve/classify/verify.",
 )
-@click.option(
-    "--tolerance", type=float, default=None,
-    help="Absolute residual tolerance for the implicit price equations, finite "
-         "and > 0 (overrides the instance file; default 1e-10).",
-)
 @click.pass_context
-def main(ctx, fmt, tolerance):
+def main(ctx, fmt):
     """Price optimal menus against a consumer with costly self-control."""
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"--tolerance must be finite and > 0, got {tolerance!r}")
     ctx.ensure_object(dict)
     ctx.obj["fmt"] = fmt
-    ctx.obj["tolerance"] = tolerance
 
 
 @main.command()
@@ -162,7 +140,7 @@ def main(ctx, fmt, tolerance):
 def solve(ctx, instance):
     """Compute the profit-maximizing contract for an instance file."""
     doc = _load(instance)
-    sol = optimal_contract(doc.instance, tol=_tolerance(ctx, doc))
+    sol = optimal_contract(doc.instance)
     _print_solution(sol, ctx.obj["fmt"])
 
 
@@ -172,7 +150,7 @@ def solve(ctx, instance):
 def classify(ctx, instance):
     """Report the willpower regime: which product sells, at what price."""
     doc = _load(instance)
-    reg = classify_willpower_regime(doc.instance, tol=_tolerance(ctx, doc))
+    reg = classify_willpower_regime(doc.instance)
     if ctx.obj["fmt"] == "json":
         click.echo(json.dumps({
             "case": reg.case_index,
@@ -207,7 +185,7 @@ def sweep(ctx, instance, w_from, w_to, w_steps):
         raise ValueError("need finite 0 <= --w-from <= --w-to and --w-steps >= 0, "
                          f"got {w_from!r}, {w_to!r} and {w_steps!r}")
     grid = _uniform_grid(w_from, w_to, w_steps)
-    records = sweep_willpower(doc.instance, grid, tol=_tolerance(ctx, doc))
+    records = sweep_willpower(doc.instance, grid)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["w", "case", "sold", "e_sold", "price", "profit", "welfare", "kind"])
     for r in records:
@@ -244,9 +222,10 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, assume
     search may walk away, and then reports profit 0.
     """
     doc = _load(instance)
+    if assume_profit is not None and not math.isfinite(assume_profit):
+        raise ValueError(f"--assume-profit must be finite, got {assume_profit!r}")
     inst = doc.instance
-    tol = _tolerance(ctx, doc)
-    sol = optimal_contract(inst, tol=tol)
+    sol = optimal_contract(inst)
     analytic_profit = sol.profit if assume_profit is None else assume_profit
 
     if doc.grid is not None:
@@ -262,7 +241,7 @@ def verify(ctx, instance, step, max_menu, price_min, price_max, analytic, assume
              "max_menu_size": max_menu, "include_analytic_prices": analytic}
     fields.update((name, value) for name, value in flags.items() if value is not None)
     grid = GridSpec(**fields)
-    best = grid_best_contract(inst, grid, tol=tol)
+    best = grid_best_contract(inst, grid)
     grid_profit = best.profit if best is not None else 0.0
     target = max(analytic_profit, 0.0)
     lower = target - 3.0 * grid.price_step

@@ -10,9 +10,8 @@ Schema::
       l: 0.5                      # piecewise_linear: l, k, w
       k: 2.0
       w: 1.0
-    solver:                       # optional overrides
-      tolerance: 1.0e-10
-      grid:                       # optional default grid for verification
+    solver:                       # optional
+      grid:                       # default grid for verification
         price_step: 0.01
         price_min: 0.0
         price_max: 20.0
@@ -43,10 +42,9 @@ class InstanceFileError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceDocument:
-    """A parsed instance plus its optional solver overrides."""
+    """A parsed instance plus its optional default verification grid."""
 
     instance: ProblemInstance
-    tolerance: float | None = None
     grid: GridSpec | None = None
 
 
@@ -179,14 +177,9 @@ def parse_instance(text: str) -> InstanceDocument:
         )
     cost_fn = _cost_function(_get(root, "cost_function", "document"), "cost_function")
 
-    tolerance = None
     grid = None
     if "solver" in root and root["solver"] is not None:
-        solver = _known(_as_map(root["solver"], "solver"), ["tolerance", "grid"], "solver")
-        if "tolerance" in solver:
-            tolerance = _number(solver, "tolerance", "solver")
-            if not tolerance > 0.0:
-                _fail("solver.tolerance", f"expected a number > 0, got {tolerance!r}")
+        solver = _known(_as_map(root["solver"], "solver"), ["grid"], "solver")
         if "grid" in solver and solver["grid"] is not None:
             gnode = _as_map(solver["grid"], "solver.grid")
             _known(gnode, [f.name for f in fields(GridSpec)], "solver.grid")
@@ -216,7 +209,7 @@ def parse_instance(text: str) -> InstanceDocument:
         if exc.__class__ is ValueError:
             _fail("alternatives", str(exc))
         raise  # AssumptionViolated carries its own diagnostic
-    return InstanceDocument(instance, tolerance, grid)
+    return InstanceDocument(instance, grid)
 
 
 def load_instance(path: str) -> InstanceDocument:
@@ -237,11 +230,6 @@ def dump_instance(doc: InstanceDocument | ProblemInstance) -> str:
         ],
         "cost_function": cost_node,
     }
-    solver: dict = {}
-    if doc.tolerance is not None:
-        solver["tolerance"] = doc.tolerance
     if doc.grid is not None:
-        solver["grid"] = asdict(doc.grid)
-    if solver:
-        root["solver"] = solver
+        root["solver"] = {"grid": asdict(doc.grid)}
     return yaml.safe_dump(root, sort_keys=False)

@@ -101,9 +101,9 @@ class GridSpec:
         return np.round(pts, 12)
 
 
-def _analytic_candidates(inst: ProblemInstance, tol: float) -> list[list[float]]:
+def _analytic_candidates(inst: ProblemInstance) -> list[list[float]]:
     """Per-alternative analytic candidate prices, in instance order."""
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     out: list[list[float]] = []
     for x in inst.alternatives:
         cand = [x.u]
@@ -115,11 +115,11 @@ def _analytic_candidates(inst: ProblemInstance, tol: float) -> list[list[float]]
     return out
 
 
-def _price_arrays(inst: ProblemInstance, grid: GridSpec, tol: float) -> list[np.ndarray]:
+def _price_arrays(inst: ProblemInstance, grid: GridSpec) -> list[np.ndarray]:
     import numpy as np
     base = grid.base_points()
     extras = (
-        _analytic_candidates(inst, tol)
+        _analytic_candidates(inst)
         if grid.include_analytic_prices
         else [[] for _ in inst.alternatives]
     )
@@ -197,7 +197,6 @@ def grid_best_contract(
     grid: GridSpec,
     *,
     mode: str = "auto",
-    tol: float = PRICE_TOL,
     stats: bool = False,
 ) -> Solution | None | tuple[Solution | None, SearchStats]:
     """Max-profit menu over the grid, or None if walking away beats every menu.
@@ -215,7 +214,7 @@ def grid_best_contract(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "bracketed"
-    prices = _price_arrays(inst, grid, tol)
+    prices = _price_arrays(inst, grid)
     sizes = range(1, grid.max_menu_size + 1)
     tallies = {size: _kernels.Tally() for size in sizes}
     best = _best_over_subsets(inst, prices, sizes, mode, tallies)
@@ -269,7 +268,7 @@ def oversize_menu_search(
     from . import _kernels
     if menu_size < 2 or menu_size > len(inst.alternatives):
         raise ValueError(f"menu_size {menu_size} not supported for this instance")
-    prices = _price_arrays(inst, grid, PRICE_TOL)
+    prices = _price_arrays(inst, grid)
     for subset in combinations(range(len(inst.alternatives)), menu_size):
         work = math.prod(len(prices[i]) for i in subset)
         if work > OVERSIZE_WORK_LIMIT:

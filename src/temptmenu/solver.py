@@ -41,14 +41,14 @@ _STALL_STEPS = 3
 before it takes a midpoint step."""
 
 PRICE_TOL = 1e-10
-"""Default absolute residual tolerance for the implicit price equations."""
+"""Absolute residual a searched price must meet in its own equation."""
 
 REVENUE_TIE_TOL = 1e-9
 """Profit gap below which two contract designs count as revenue-equivalent."""
 
 
 class BracketFailure(RuntimeError):
-    """A price equation has no root in its bracket, or no double meets ``tol``."""
+    """A price equation has no root in its bracket, or no double meets ``PRICE_TOL``."""
 
 
 class NotCompromisable(ValueError):
@@ -152,13 +152,11 @@ def _finite(price: float, what: str) -> None:
         raise OverflowError(f"{what} is {price!r}")
 
 
-def _accepted(
-    price: float, g: Callable[[float], float], tol: float, what: str
-) -> tuple[float, float]:
-    """A searched ``price`` and its residual ``|g(price)|``, which must be ``<= tol``."""
+def _accepted(price: float, g: Callable[[float], float], what: str) -> tuple[float, float]:
+    """A searched ``price`` and its residual ``|g(price)|``, which must be ``<= PRICE_TOL``."""
     residual = abs(g(price))
-    if residual > tol:
-        raise BracketFailure(f"{what}: residual {residual:.3g} exceeds tol {tol:g}")
+    if residual > PRICE_TOL:
+        raise BracketFailure(f"{what}: residual {residual:.3g} exceeds tol {PRICE_TOL:g}")
     return price, residual
 
 
@@ -215,8 +213,7 @@ def _pw_compromise_price(
 
 
 def _self_tempting_price(
-    u: float, v: float, e_bait: float, cost: CostFunction, tol: float,
-    what: str = "price",
+    u: float, v: float, e_bait: float, cost: CostFunction, what: str = "price"
 ) -> tuple[float, float]:
     """Root of ``p = u + phi(v - p - e_bait)`` and its absolute residual.
 
@@ -233,7 +230,7 @@ def _self_tempting_price(
     if cost.has_closed_forms:
         price = _pw_self_tempting_price(u, v, e_bait, cost)
         return price, abs(g(price))
-    return _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, tol, what)
+    return _accepted((v - e_bait) - psi_root(cost, (v - u) - e_bait), g, what)
 
 
 class _PriceTable:
@@ -250,22 +247,18 @@ class _PriceTable:
     price raises ``OverflowError``, named the same way, as soon as the
     design holding it is priced.  Prices come from the closed forms where
     the cost family has them (``has_closed_forms``), else from
-    ``psi_root``, and then must meet the residual tolerance ``tol``, a
-    finite number above 0.
+    ``psi_root``, and then must meet ``PRICE_TOL``.
     """
 
-    def __init__(self, inst: ProblemInstance, tol: float):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    def __init__(self, inst: ProblemInstance):
         self.cost = inst.cost_fn
-        self.tol = tol
         self.bait = inst.least_tempting
         self.decoy = inst.most_tempting
         self.decoy_is_idle = self.cost.decoy_is_idle(self.decoy.e - self.bait.e)
 
     def _self_tempting(self, x: Alternative, design: str) -> tuple[float, float]:
         what = f"{design} price of {x.id}"
-        entry = _self_tempting_price(x.u, x.v, self.bait.e, self.cost, self.tol, what)
+        entry = _self_tempting_price(x.u, x.v, self.bait.e, self.cost, what)
         _finite(entry[0], what)
         return entry
 
@@ -295,7 +288,7 @@ class _PriceTable:
             price = _pw_compromise_price(x, self.bait.e, decoy, cost)
             entry = price, abs(g(price))
         else:
-            entry = _accepted(psi_root(cost, decoy.e - x.e) - shift, g, self.tol, what)
+            entry = _accepted(psi_root(cost, decoy.e - x.e) - shift, g, what)
         _finite(entry[0], what)
         return entry
 
@@ -357,9 +350,7 @@ def commitment_contract(x: Alternative) -> Solution:
     return Solution(contract, x.u - x.c, 0.0, x, ContractKind.COMMITMENT, ())
 
 
-def indulging_contract(
-    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
-) -> Solution:
+def indulging_contract(x: Alternative, inst: ProblemInstance) -> Solution:
     """Sell ``x`` above its utility value next to a bait priced at cost-of-entry.
 
     The bait is the least-tempting alternative, priced at its own utility
@@ -367,25 +358,23 @@ def indulging_contract(
     case: if ``x`` is the bait itself the construction collapses and the
     commitment solution is returned instead (flagged by its kind).
     """
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     if x.id == table.bait.id:
         return commitment_contract(x)
     return _solution(x, ContractKind.INDULGING, table.indulging(x), table)
 
 
-def decoy_price(inst: ProblemInstance, *, tol: float = PRICE_TOL) -> float:
+def decoy_price(inst: ProblemInstance) -> float:
     """Price of the most tempting alternative pinned by the bait's free entry.
 
     Unique root of ``p = u + phi(v - p - e_bait)`` for the most tempting
     alternative; in a compromising menu it is never consumed, it only
     raises everyone else's self-control bill.
     """
-    return _PriceTable(inst, tol).decoy_entry[0]
+    return _PriceTable(inst).decoy_entry[0]
 
 
-def compromising_contract(
-    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
-) -> Solution:
+def compromising_contract(x: Alternative, inst: ProblemInstance) -> Solution:
     """Sell ``x`` flanked by the bait and a maximally tempting decoy.
 
     The decoy price solves its own fixed point; the compromise price then
@@ -393,7 +382,7 @@ def compromising_contract(
     ``p = u(x) + p_decoy - u(decoy) - phi(v(decoy) - p_decoy - v(x) + p)``.
     All participation and choice constraints bind at the returned prices.
     """
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     if x.id in (table.bait.id, table.decoy.id):
         raise NotCompromisable(
             f"cannot build a three-offer menu selling {x.id}: it already plays "
@@ -402,16 +391,14 @@ def compromising_contract(
     return _solution(x, ContractKind.COMPROMISING, table.compromise(x), table)
 
 
-def best_contract_for(
-    x: Alternative, inst: ProblemInstance, *, tol: float = PRICE_TOL
-) -> Solution:
+def best_contract_for(x: Alternative, inst: ProblemInstance) -> Solution:
     """Max-profit design for selling ``x``, skipping degenerate constructions.
 
     When the compromising and indulging designs are revenue-equivalent
     (within ``REVENUE_TIE_TOL``) and the decoy is genuinely idle, the
     indulging one is reported.
     """
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     _, kind, entry = _best_design(x, table)
     return _solution(x, kind, entry, table)
 
@@ -427,13 +414,13 @@ def _optimal(inst: ProblemInstance, table: _PriceTable) -> tuple[Alternative, _D
     return best_x, best
 
 
-def optimal_contract(inst: ProblemInstance, *, tol: float = PRICE_TOL) -> Solution:
+def optimal_contract(inst: ProblemInstance) -> Solution:
     """Profit-maximizing contract over all products; ties go to the lowest index.
 
     Every product's designs are priced from one price table, and only the
     winner is built into a contract.
     """
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     x, (_, kind, entry) = _optimal(inst, table)
     return _solution(x, kind, entry, table)
 
@@ -510,9 +497,7 @@ def _regime_thresholds(
     return steep, shallow, thresholds
 
 
-def classify_willpower_regime(
-    inst: ProblemInstance, *, tol: float = PRICE_TOL
-) -> WillpowerRegime:
+def classify_willpower_regime(inst: ProblemInstance) -> WillpowerRegime:
     """Which product the optimal contract sells, read off the willpower ranges.
 
     The range names the product sold: the steep-regime product in case 1,
@@ -534,7 +519,7 @@ def classify_willpower_regime(
     """
     steep, shallow, thresholds = _regime_thresholds(inst)
     case = _case_index(inst.cost_fn.w, thresholds)
-    table = _PriceTable(inst, tol)
+    table = _PriceTable(inst)
     if case == 2:
         sold, (_, kind, entry) = _optimal(inst, table)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .model import ContractKind, ProblemInstance
-from .solver import PRICE_TOL, _case_index, _regime_thresholds, optimal_contract
+from .solver import _case_index, _regime_thresholds, optimal_contract
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class SweepRecord:
     markup: float
 
 
-def sweep_willpower(
-    inst: ProblemInstance, w_grid: Sequence[float], *, tol: float = PRICE_TOL
-) -> list[SweepRecord]:
+def sweep_willpower(inst: ProblemInstance, w_grid: Sequence[float]) -> list[SweepRecord]:
     """Optimal contract at each willpower level of a strictly increasing grid.
 
     The instance's own cost function supplies the slopes; its willpower
@@ -61,7 +59,7 @@ def sweep_willpower(
     )
     records = []
     for w in points:
-        sol = optimal_contract(inst._with_cost(replace(cost, w=w)), tol=tol)
+        sol = optimal_contract(inst._with_cost(replace(cost, w=w)))
         case = _case_index(w, thresholds)
         price = sol.contract.intended_offer.price
         records.append(

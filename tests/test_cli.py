@@ -46,7 +46,7 @@ cost_function:
 
 # the worked instance in cents: phi(t) = 0.5 * t**1000 overflows a double
 # inside the price bracket, and at prices in the thousands no double meets
-# the pricing equation's residual tolerance
+# the pricing equation's residual gate, PRICE_TOL
 OVERFLOWING = """
 alternatives:
   - {id: A, u: 1000, v: 1000, c: 500}
@@ -76,6 +76,13 @@ cost_function: {kind: piecewise_linear, l: 0.5, k: 2, w: 1}
 """
 
 POWER = RUNNING.split("cost_function:")[0] + "cost_function: {kind: power, alpha: 1.0, gamma: 2.0}\n"
+
+# at the unit money scale, alpha = 1e12 makes phi so steep that no double
+# meets PRICE_TOL
+UNIT_SCALE = RUNNING.split("cost_function:")[0] + "cost_function: {kind: power, alpha: 1.0e+12, gamma: 2.0}\n"
+
+# phi(t) = 0.5 * t**300 overflows to inf across most of the price grid
+STEEP = RUNNING.split("cost_function:")[0] + "cost_function: {kind: power, alpha: 0.5, gamma: 300}\n"
 
 # the worked instance at ten times the money scale: the default step 0.01
 # would need 12100 grid steps, past the guard
@@ -295,32 +302,13 @@ def test_verify_loose_lower_bound_at_coarse_step(instance_file):
     assert result.exit_code == 0, result.output
 
 
-def test_tolerance_flag_accepted(instance_file):
-    result = run("--tolerance", "1e-8", "solve", instance_file)
-    assert result.exit_code == 0
-
-
-@pytest.mark.parametrize("tol", ("nan", "inf", "0", "-1"))
-def test_bad_tolerance_flag_is_a_one_line_input_error(instance_file, tol):
-    result = run("--tolerance", tol, "solve", instance_file)
-    assert result.exit_code == 1
-    assert result.output.startswith("error: --tolerance must be finite and > 0")
-    assert result.output.count("\n") == 1
-
-
 def test_nan_tolerance_in_file_no_longer_disables_the_residual_check(tmp_path):
-    # at this scale no double meets the default tolerance (exit 2); a nan
-    # tolerance used to accept the price with a residual of 1.7e-9
-    path = tmp_path / "steep.yaml"
-    path.write_text(
-        RUNNING.split("cost_function:")[0]
-        + "cost_function: {kind: power, alpha: 1.0e+12, gamma: 2.0}\n"
-        + "solver: {tolerance: .nan}\n",
-        encoding="utf-8",
-    )
+    # no double meets PRICE_TOL here (exit 2), and the gate cannot be set
+    path = tmp_path / "unit_scale.yaml"
+    path.write_text(UNIT_SCALE + "solver: {tolerance: .nan}\n", encoding="utf-8")
     result = run("solve", str(path))
-    assert result.exit_code == 1
-    assert result.output.startswith("error: solver.tolerance: expected a finite number")
+    assert result.exit_code == EXIT_INPUT
+    assert result.output == "error: solver.tolerance: unknown key; expected one of grid\n"
 
 
 @pytest.mark.parametrize("args", (["solve"], ["verify", "--step", "0.5"]))
@@ -337,6 +325,8 @@ def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
 DOCUMENTS = {
     "running": RUNNING, "tied": TIED, "power": POWER, "bracket": OVERFLOWING,
     "huge": HUGE_PRICES, "bad_yaml": "alternatives:\n  - {id: A, u: 10\n",
+    "unit_scale": UNIT_SCALE, "steep": STEEP,
+    "tolerance": RUNNING + "solver: {tolerance: 1.0e-10}\n",
 }
 
 # (case, argv with {dir} for the documents' folder, exit code, start of the
@@ -346,13 +336,27 @@ EXIT_TABLE = [
     ("usage-bad-float", ["verify", "{dir}/running.yaml", "--step", "abc"], EXIT_INPUT, None),
     ("usage-unknown-option", ["verify", "{dir}/running.yaml", "--mode", "auto"], EXIT_INPUT, None),
     ("usage-format-xml", ["--format", "xml", "solve", "{dir}/running.yaml"], EXIT_INPUT, None),
+    ("usage-tolerance-flag", ["--tolerance", "1e-8", "solve", "{dir}/running.yaml"], EXIT_INPUT,
+     None),
     ("input-bad-yaml", ["solve", "{dir}/bad_yaml.yaml"], EXIT_INPUT, "error: invalid YAML at line "),
     ("input-tied-roles", ["solve", "{dir}/tied.yaml"], EXIT_INPUT, "error: "),
     ("input-power-classify", ["classify", "{dir}/power.yaml"], EXIT_INPUT, "error: "),
     ("input-max-menu-4", ["verify", "{dir}/running.yaml", "--max-menu", "4"], EXIT_INPUT,
      "error: max_menu_size must be an integer in 1..3, got 4"),
+    ("input-solver-tolerance", ["solve", "{dir}/tolerance.yaml"], EXIT_INPUT,
+     "error: solver.tolerance: unknown key; expected one of grid\n"),
+    ("input-assume-profit-nan",
+     ["verify", "{dir}/running.yaml", "--step", "0.5", "--assume-profit", "nan"], EXIT_INPUT,
+     "error: --assume-profit must be finite, got nan\n"),
+    ("input-assume-profit-neg-inf",
+     ["verify", "{dir}/running.yaml", "--step", "0.5", "--assume-profit", "-inf"], EXIT_INPUT,
+     "error: --assume-profit must be finite, got -inf\n"),
     ("solver-bracket-failure", ["solve", "{dir}/bracket.yaml"], EXIT_SOLVER,
      "solver failure: BracketFailure: indulging price of B: residual "),
+    ("solver-bracket-failure-unit-scale", ["solve", "{dir}/unit_scale.yaml"], EXIT_SOLVER,
+     "solver failure: BracketFailure: indulging price of B: residual 1.14e-09 exceeds tol 1e-10\n"),
+    # phi_array overflows to inf in the grid search without a numpy warning
+    ("ok-steep-power-verify", ["verify", "{dir}/steep.yaml", "--step", "0.5"], 0, ""),
     # classify prices only the product its range names (the bait A, by
     # commitment), never the decoy B whose price overflows in solve
     ("ok-classify-overflow", ["classify", "{dir}/huge.yaml"], 0, ""),
@@ -428,7 +432,7 @@ def test_verify_grid_takes_each_field_from_flag_then_file_then_default(
     path = tmp_path / "instance.yaml"
     path.write_text(text, encoding="utf-8")
     searched = []
-    monkeypatch.setattr(cli, "grid_best_contract", lambda inst, grid, tol: searched.append(grid))
+    monkeypatch.setattr(cli, "grid_best_contract", lambda inst, grid: searched.append(grid))
     run("verify", str(path), *flags)
     assert searched == [expected]
 

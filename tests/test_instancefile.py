@@ -1,5 +1,7 @@
 """Instance document parsing, validation diagnostics, and round-tripping."""
 
+from dataclasses import fields
+
 import pytest
 
 from temptmenu import AssumptionViolated, GridSpec, PowerCost, ProblemInstance
@@ -28,8 +30,8 @@ cost_function:
 def test_parse_running_instance():
     doc = parse_instance(RUNNING)
     assert doc.instance == running_instance()
-    assert doc.tolerance is None
     assert doc.grid is None
+    assert [f.name for f in fields(InstanceDocument)] == ["instance", "grid"]
 
 
 def test_parse_power_cost_and_overrides():
@@ -39,12 +41,10 @@ alternatives:
   - {id: B, u: 8, v: 14, c: 5}
 cost_function: {kind: power, alpha: 1.0, gamma: 2.0}
 solver:
-  tolerance: 1.0e-9
   grid: {price_step: 0.5, price_min: 0.0, price_max: 15.0}
 """
     doc = parse_instance(text)
     assert doc.instance.cost_fn == PowerCost(alpha=1.0, gamma=2.0)
-    assert doc.tolerance == 1e-9
     assert doc.grid == GridSpec(price_step=0.5, price_min=0.0, price_max=15.0)
 
 
@@ -53,11 +53,7 @@ def test_round_trip_identity():
     again = parse_instance(dump_instance(doc))
     assert again.instance == doc.instance
 
-    full = InstanceDocument(
-        doc.instance,
-        tolerance=1e-9,
-        grid=GridSpec(price_step=0.05, price_min=0.0, price_max=17.3),
-    )
+    full = InstanceDocument(doc.instance, GridSpec(price_step=0.05, price_min=0.0, price_max=17.3))
     again = parse_instance(dump_instance(full))
     assert again == full
 
@@ -141,7 +137,8 @@ def test_non_finite_number_names_its_key(value):
 
 @pytest.mark.parametrize("value", (".nan", "0", "-1"))
 def test_bad_tolerance_names_its_key(value):
-    with pytest.raises(InstanceFileError, match=r"^solver\.tolerance: "):
+    # the residual gate is fixed, so every value of the old key is refused
+    with pytest.raises(InstanceFileError, match=r"^solver\.tolerance: unknown key; expected one of grid$"):
         parse_instance(RUNNING + f"solver:\n  tolerance: {value}\n")
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from temptmenu import (
     CHOICE_TIE_TOL,
-    PRICE_TOL,
     Alternative,
     Contract,
     GridSpec,
@@ -171,7 +170,7 @@ def test_analytic_candidates_equal_the_public_constructors():
                 else:  # the decoy's indulging price is the decoy price, listed once
                     assert cand[-1] == decoy_price(inst)
             expected.append(cand)
-        assert oracle._analytic_candidates(inst, PRICE_TOL) == expected
+        assert oracle._analytic_candidates(inst) == expected
 
 
 def test_grid_only_profit_within_discretization_loss(running):
@@ -410,7 +409,7 @@ def test_floor_prunes_only_rows_below_it(seed, power, analytic, subset):
     step = 0.5
     grid = GridSpec(price_step=step, price_min=0.0, price_max=22.0,
                     include_analytic_prices=analytic)
-    prices = oracle._price_arrays(inst, grid, PRICE_TOL)
+    prices = oracle._price_arrays(inst, grid)
     alts = [inst.alternatives[i] for i in subset]
     _assert_floor_is_exact(
         tuple(x.u for x in alts), tuple(x.v for x in alts), tuple(x.c for x in alts),
@@ -478,7 +477,7 @@ def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
 ):
     inst = with_power_cost(running) if power else running
     fine = GridSpec(price_step=0.5, price_min=0.0, price_max=20.0)
-    prices = oracle._price_arrays(inst, fine, PRICE_TOL)
+    prices = oracle._price_arrays(inst, fine)
     coarse = GridSpec(
         price_step=2.5, price_min=0.0, price_max=17.5, include_analytic_prices=False
     )

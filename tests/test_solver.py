@@ -1,5 +1,6 @@
 """Analytic constructions: closed forms, root-finding, optimality, regimes."""
 
+import inspect
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -22,15 +23,17 @@ from temptmenu import (
     commitment_contract,
     compromising_contract,
     decoy_price,
+    grid_best_contract,
     indulging_contract,
     optimal_contract,
     overall_utilities,
     perceived_choice,
     solve_monotone_price,
+    sweep_willpower,
     verify_solution,
 )
 from temptmenu import solver
-from temptmenu.solver import REVENUE_TIE_TOL, _self_tempting_price, psi_root
+from temptmenu.solver import REVENUE_TIE_TOL, _best_design, _self_tempting_price, psi_root
 from helpers import (
     BisectedPiecewiseCost,
     bisect_monotone,
@@ -83,7 +86,7 @@ def test_indulging_steep_region():
     sol = indulging_contract(by_id(inst, "B"), inst)
     assert sol.contract.offers[0].price == pytest.approx(11.5, abs=1e-12)
     bisected = BisectedPiecewiseCost(0.5, 2.0, 1.0)
-    price, residual = _self_tempting_price(8.0, 14.0, 0.0, bisected, 1e-10)
+    price, residual = _self_tempting_price(8.0, 14.0, 0.0, bisected)
     assert price == pytest.approx(11.5, abs=1e-9)
     assert residual <= 1e-10
 
@@ -97,7 +100,7 @@ def test_indulging_degenerates_to_commitment_for_bait():
 
 def test_indulging_price_reduces_to_utility_when_gap_zero():
     # equal excess temptations collapse the self-control term at the root
-    price, residual = _self_tempting_price(7.0, 9.0, 2.0, PiecewiseLinearCost(0.5, 2.0, 1.0), 1e-10)
+    price, residual = _self_tempting_price(7.0, 9.0, 2.0, PiecewiseLinearCost(0.5, 2.0, 1.0))
     assert price == pytest.approx(7.0, abs=1e-12)
     assert residual <= 1e-12
 
@@ -366,15 +369,20 @@ def test_closed_forms_match_bisection_on_random_instances():
         assert decoy_price(inst) == pytest.approx(decoy_price(ref), abs=1e-8)
 
 
-@pytest.mark.parametrize("tol", (math.nan, math.inf, 0.0, -1.0))
-def test_bad_tolerance_is_rejected_before_pricing(running, tol):
-    # closed forms never read tol, so a bad one used to pass unnoticed on
-    # the piecewise family; on the power family -1 rejected every price
-    for inst in (running, with_power_cost(running)):
-        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
-            optimal_contract(inst, tol=tol)
-    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
-        classify_willpower_regime(running, tol=tol)
+def test_solver_entry_points_take_no_tolerance():
+    # every price is held to the one residual gate, the constant PRICE_TOL
+    params = {
+        optimal_contract: ["inst"],
+        indulging_contract: ["x", "inst"],
+        compromising_contract: ["x", "inst"],
+        decoy_price: ["inst"],
+        best_contract_for: ["x", "inst"],
+        classify_willpower_regime: ["inst"],
+        sweep_willpower: ["inst", "w_grid"],
+        grid_best_contract: ["inst", "grid", "mode", "stats"],
+    }
+    for fn, names in params.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 # -- best contract per product ----------------------------------------------------
@@ -402,6 +410,66 @@ def test_best_contract_reports_indulging_when_decoy_idle():
     best = best_contract_for(by_id(inst, "B"), inst)
     assert best.kind is ContractKind.INDULGING
     assert best.profit == pytest.approx(5.0)
+
+
+class _StubTable:
+    """The part of a price table ``_best_design`` reads, with set prices."""
+
+    bait = Alternative("A", 10.0, 10.0, 5.0)
+    decoy = Alternative("C", 2.0, 16.0, 5.0)
+
+    def __init__(self, indulging, compromise, decoy_is_idle):
+        self._indulging = (indulging, 0.0)
+        self._compromise = (compromise, 0.0)
+        self.decoy_is_idle = decoy_is_idle
+
+    def indulging(self, x):
+        return self._indulging
+
+    def compromise(self, x):
+        return self._compromise
+
+
+# sold at zero cost, so each design's profit is its price; commitment earns 6
+TIE_PRODUCT = Alternative("B", 6.0, 14.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "indulging, incumbent",
+    [(5.0, ContractKind.COMMITMENT), (8.0, ContractKind.INDULGING)],
+    ids=["over-commitment", "over-indulging"],
+)
+@pytest.mark.parametrize(
+    "offset, wins_idle, wins_active",
+    [
+        (2.0 * REVENUE_TIE_TOL, True, True),
+        (REVENUE_TIE_TOL, False, True),
+        (0.5 * REVENUE_TIE_TOL, False, True),
+        (-0.5 * REVENUE_TIE_TOL, False, True),
+        (-REVENUE_TIE_TOL, False, False),
+    ],
+    ids=["+2tol", "+tol", "+half-tol", "-half-tol", "-tol"],
+)
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "active"])
+def test_compromise_tie_rule_at_its_boundaries(indulging, incumbent, offset, wins_idle,
+                                               wins_active, idle):
+    # a compromise must beat the best design so far by more than
+    # REVENUE_TIE_TOL; within the window it wins only if the decoy works
+    best = max(indulging, TIE_PRODUCT.u)
+    table = _StubTable(indulging, best + offset, idle)
+    profit, kind, _ = _best_design(TIE_PRODUCT, table)
+    if wins_idle if idle else wins_active:
+        assert (profit, kind) == (best + offset, ContractKind.COMPROMISING)
+    else:
+        assert (profit, kind) == (best, incumbent)
+
+
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "active"])
+def test_indulging_must_strictly_beat_commitment(idle):
+    tie = _StubTable(TIE_PRODUCT.u, 0.0, idle)
+    assert _best_design(TIE_PRODUCT, tie)[:2] == (6.0, ContractKind.COMMITMENT)
+    above = _StubTable(math.nextafter(TIE_PRODUCT.u, math.inf), 0.0, idle)
+    assert _best_design(TIE_PRODUCT, above)[1] is ContractKind.INDULGING
 
 
 def test_dominance_chain_on_random_instances():
