@@ -26,15 +26,40 @@ lexicographically smallest price-index tuple):
   Before any window check, a row is pruned when it cannot reach
   ``F = max(best so far, floor)``, ``floor`` being the best profit of the
   subsets searched before.  Let ``i_F`` be the lowest index whose profit
-  reaches ``F``.  A row is kept only if its highest allowed index is at
-  least ``i_F`` and, at price ``p = Pd[i_F]``, the designated offer is
-  the most tempting, ``vd - p > vmax``, or ``ud - p >= top -
-  CHOICE_TIE_TOL``, with ``vmax = max(vo)`` and ``top`` the others' best
-  overall utility at that temptation.  As ``phi >= 0``, the window at any
-  index implies one of the two there, and both sides are monotone in the
-  index under IEEE subtraction, so the bound is exact and needs no new
-  tolerance.  Rows whose profit can equal ``F`` are kept, so the tie
-  order is unchanged.
+  reaches ``F`` and ``p = Pd[i_F]``.  Each block of rows is tested in
+  three steps, the cheapest first:
+
+  1. If ``i_F == nd``, no designated price reaches ``F``.  As ``F`` only
+     rises, the block and every later block of the designated offer are
+     counted as walked and pruned without being built.
+  2. A row's highest allowed index must reach ``i_F``.  That index is
+     ``nd - 1`` where some other offer is affordable, so the menu is
+     signed at any designated price, and ``caps[d]`` elsewhere.  So all
+     rows pass if ``caps[d] >= i_F``, and otherwise only those with an
+     affordable other offer.  ``u_t - P_t[i] >= 0`` holds exactly when
+     ``i <= caps[t]``, because a rounded difference keeps the sign of the
+     exact one.  The rows are therefore found by index, a prefix of the
+     block plus the rows past it whose last index is at most its cap,
+     and only they are gathered.
+  3. At ``p``, the designated offer must be the most tempting,
+     ``vd - p > vmax``, or reach ``ud - p >= top - CHOICE_TIE_TOL``.  Here
+     ``vmax`` is the others' largest temptation value and ``top`` their
+     best overall utility when one of them is the most tempting.  As
+     ``phi >= 0``, the window at any index implies one of the two there,
+     and both sides are monotone in the index under IEEE subtraction, so
+     the test is exact.  ``top = max(ustar, usub - phi(gap))``: ``ustar``
+     is the most tempting other offer's utility (``phi(0) = 0``); with two
+     others, ``usub`` is the other one's and ``gap`` the temptation it
+     resists.  Rounding is monotone, so the test splits into
+     ``ud - p >= ustar - CHOICE_TIE_TOL`` and
+     ``ud - p >= (usub - phi(gap)) - CHOICE_TIE_TOL``.  A row that is not
+     the most tempting and fails the first is dropped; one with
+     ``ud - p >= usub - CHOICE_TIE_TOL`` passes the second, as
+     ``phi >= 0``; ``phi`` is evaluated only on the rows left.
+
+  The blocks and their order are fixed, so ``best`` and every counter
+  change as if each row were tested in full.  Rows whose profit can equal
+  ``F`` are kept, so the tie order is unchanged.
 
 The cost is the instance's cost object; the kernels only call its
 elementwise ``phi_array``.  Both searches apply the model's choice rule:
@@ -130,12 +155,23 @@ def _window(ud, vd, Pd, uo, vo, cost):
     return window
 
 
-def _rival(uo, vo, cost):
-    """Per row: ``vmax``, the others' largest temptation value, and ``top``,
-    their best overall utility when one of them is the most tempting."""
-    vmax = reduce(np.maximum, vo)
-    top = reduce(np.maximum, [a - cost.phi_array(vmax - b) for a, b in zip(uo, vo)])
-    return vmax, top
+def _rival(uo, vo):
+    """Per row, without ``phi``: ``vmax``, the others' largest temptation
+    value, and ``ustar, usub, gap``, from which ``_top`` gives their best
+    overall utility when one of them is the most tempting.  ``ustar`` is
+    that offer's utility; it resists nothing, and ``phi(0) = 0``.  With a
+    second other offer, ``usub`` is its utility and ``gap`` the temptation
+    it resists; with none, both are None."""
+    if len(uo) == 1:
+        return vo[0], uo[0], None, None
+    (ua, ub), (va, vb) = uo, vo
+    first = va >= vb
+    return np.maximum(va, vb), np.where(first, ua, ub), np.where(first, ub, ua), np.abs(va - vb)
+
+
+def _top(ustar, usub, gap, cost):
+    """``max(ustar, usub - phi(gap))``: ``phi`` on the one resisted gap."""
+    return ustar if usub is None else np.maximum(ustar, usub - cost.phi_array(gap))
 
 
 def _threshold(ud, vd, uo, vo, vmax, top, table):
@@ -170,15 +206,35 @@ def _bisect(window, hi, tally):
         hi2 = np.where(open_ & ~good, mid, hi2)
 
 
+def _affordable(start, stop, caps, others, sizes):
+    """Flat rows in ``[start, stop)`` where some other offer is affordable.
+
+    ``u_t - P_t[i] >= 0`` exactly when ``i <= caps[t]``, as a rounded
+    difference keeps the sign of the exact one, so the first other offer
+    is affordable on a prefix of the rows and the second wherever the
+    row's last index is at most its cap.
+    """
+    stride = sizes[1] if len(sizes) == 2 else 1
+    lead = min(max((caps[others[0]] + 1) * stride, start), stop)
+    rows = np.arange(start, lead)
+    if len(sizes) == 2:
+        tail = np.arange(lead, stop)
+        rows = np.concatenate([rows, tail[tail % stride <= caps[others[1]]]])
+    return rows
+
+
 def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
-    """Designated-offer search, vectorized over the other offers' price grids,
-    in blocks of ``ROW_BLOCK`` rows.
+    """Designated-offer search over two or three offers, vectorized over the
+    other offers' price grids, in blocks of ``ROW_BLOCK`` rows.
 
     A row is pruned, before any window check, when its profit bound falls
     short of ``max(best so far, floor)``; rows that can tie it are kept.
     """
     m = len(prices)
     table = psi_table(prices, v, cost)
+    # each offer's utility and temptation value at each of its prices
+    U = [u[t] - p for t, p in enumerate(prices)]
+    V = [v[t] - p for t, p in enumerate(prices)]
     best = -np.inf
     best_tuple = None
     for d in range(m):
@@ -189,36 +245,54 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
         sizes = tuple(len(prices[t]) for t in others)
         total = int(np.prod(sizes))
         for start in range(0, total, ROW_BLOCK):
-            flat = np.arange(start, min(start + ROW_BLOCK, total))
-            tally.tuples += flat.size
-            oidx = np.unravel_index(flat, sizes)
-            po = [prices[t][i] for t, i in zip(others, oidx)]
-            uo = [u[t] - p for t, p in zip(others, po)]
-            bait_ok = reduce(np.logical_or, [x >= 0.0 for x in uo])
-            hi = np.where(bait_ok, nd - 1, caps[d])
+            stop = min(start + ROW_BLOCK, total)
             # prune the rows that cannot reach the running best (module
             # docstring); i_f is the lowest index whose profit reaches it
             i_f = int(np.searchsorted(margins, max(best, floor), side="left"))
-            rows = np.flatnonzero(hi >= i_f)
-            uo = [x[rows] for x in uo]
-            vo = [v[t] - p[rows] for t, p in zip(others, po)]
-            vmax, top = _rival(uo, vo, cost)
-            pf = Pd[min(i_f, nd - 1)]
-            keep = ((u[d] - pf) >= (top - CHOICE_TIE_TOL)) | ((v[d] - pf) > vmax)
-            rows = rows[keep]
-            tally.pruned += flat.size - rows.size
-            if not rows.size:
+            if i_f == nd:  # no price of d reaches it, and it only rises
+                tally.tuples += total - start
+                tally.pruned += total - start
+                break
+            tally.tuples += stop - start
+            if caps[d] >= i_f:
+                rows = np.arange(start, stop)
+            else:
+                rows = _affordable(start, stop, caps, others, sizes)
+            oidx = np.unravel_index(rows, sizes)
+            uo = [U[t][i] for t, i in zip(others, oidx)]
+            vo = [V[t][i] for t, i in zip(others, oidx)]
+            vmax, ustar, usub, gap = _rival(uo, vo)
+            pf = Pd[i_f]
+            own, temptation = u[d] - pf, v[d] - pf
+            keep = (temptation > vmax) | (own >= ustar - CHOICE_TIE_TOL)
+            if usub is not None:
+                # usub - phi(gap) <= usub, as phi >= 0: only the rows that
+                # reach ustar's window but not usub's need phi
+                j = np.flatnonzero(
+                    keep & (temptation <= vmax) & (own < usub - CHOICE_TIE_TOL)
+                )
+                if j.size:
+                    keep[j] = own >= _top(ustar[j], usub[j], gap[j], cost) - CHOICE_TIE_TOL
+            kept = int(np.count_nonzero(keep))
+            tally.pruned += stop - start - kept
+            if not kept:
                 continue
+            oidx = [i[keep] for i in oidx]
             uo = [x[keep] for x in uo]
             vo = [x[keep] for x in vo]
-            vmax, top, hi = vmax[keep], top[keep], hi[rows]
+            vmax = vmax[keep]
+            if usub is not None:
+                usub, gap = usub[keep], gap[keep]
+            top = _top(ustar[keep], usub, gap, cost)
+            afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, oidx)])
+            hi = np.where(afford, nd - 1, caps[d])
 
             window = _window(u[d], v[d], Pd, uo, vo, cost)
             est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
             holds = np.isfinite(est) & ((lo < 0) | window(lo))
             holds_up = (lo < hi) & window(lo + 1)
-            tally.window_checks += 2 * rows.size
+            tally.window_checks += 2 * kept
             hit = holds & ~holds_up
             # an estimate one index low holds one index higher too: confirm
             # that index by the window failing above it
@@ -244,8 +318,8 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
             local = float(profit.max())
             if local < best:
                 continue
-            cand = rows[profit == local]
-            tup = np.empty((m, cand.size), dtype=np.int64)
+            cand = profit == local
+            tup = np.empty((m, int(np.count_nonzero(cand))), dtype=np.int64)
             # adjacent prices can round to the same margin: the tie order
             # wants the lowest such index, which the window also holds at
             tup[d] = np.searchsorted(margins, local, side="left")
@@ -281,10 +355,13 @@ def search_subset(u, v, c, prices, cost, mode, tally=None, floor=-math.inf):
     ``exhaustive`` checks every price tuple once.  ``floor`` lets
     ``bracketed`` prune rows whose profit is below it: the result is
     unchanged when the optimum reaches ``floor``, and otherwise None or a
-    profit below ``floor``.
+    profit below ``floor``.  ``bracketed`` takes at most three offers, the
+    largest menu ``grid_best_contract`` searches.
     """
     if tally is None:
         tally = Tally()
+    if mode != "exhaustive" and len(prices) > 3:
+        raise ValueError(f"bracketed searches at most three offers, got {len(prices)}")
     if len(prices) == 1:
         tally.tuples += 1
         cap = _cap(prices[0], u[0])

@@ -126,9 +126,11 @@ def psi_root(cost: CostFunction, y: float) -> float:
     ``[min(y/2, phi^-1(y/2)), min(y, phi^-1(y))]``, which the search
     starts from.  Where rounding breaks that bracket's sign check, or the
     root sits on its lower end (where a flat run of zero residuals could
-    hold a lower double), the search runs again on ``[0, y]``, which
-    ``phi >= 0`` brackets by construction.  Either way the result is the
-    double that bisecting ``[0, y]`` returns.
+    hold a lower double), the search runs again from 0: up to
+    ``min(y, 2 phi^-1(y))`` when the residual there is ``>= 0``, which
+    leaves rounding a wide margin, and else up to ``y``, which ``phi >= 0``
+    brackets by construction.  Either way the result is the double that
+    bisecting ``[0, y]`` returns.
     """
     if y <= 0.0:
         return 0.0
@@ -142,7 +144,8 @@ def psi_root(cost: CostFunction, y: float) -> float:
     except BracketFailure:  # rounding broke the bracket's sign check
         t = lo
     if t == lo:  # a flat run of zero residuals may reach below lo
-        return solve_monotone_price(residual, 0.0, y)
+        hi = min(y, 2.0 * cost.phi_inverse(y))
+        return solve_monotone_price(residual, 0.0, hi if residual(hi) >= 0.0 else y)
     return t
 
 

@@ -344,6 +344,25 @@ def test_search_stats_count_rows_by_hand(running):
     ] == [(1, 3, 0, 0), (2, 27, 27, 0), (3, 27, 27, 0)]
 
 
+@pytest.mark.parametrize(
+    "power, sizes",
+    [
+        (False, [(1, 3, 0, 0, 0), (2, 2408, 822, 0, 1997), (3, 483205, 69349, 0, 448541)]),
+        (True, [(1, 3, 0, 0, 0), (2, 2410, 885, 0, 2008), (3, 484008, 47421, 0, 460378)]),
+    ],
+    ids=["piecewise", "power"],
+)
+def test_search_stats_are_pinned_on_the_worked_instance(running, power, sizes):
+    # every counter as the search that first pruned rows by a full profit
+    # bound recorded it: a cheaper test of the same bound prunes the same rows
+    inst = with_power_cost(running) if power else running
+    grid = GridSpec(price_step=0.05, price_min=0.0, price_max=20.0)
+    _, stats = grid_best_contract(inst, grid, stats=True)
+    assert [
+        (s.size, s.tuples, s.window_checks, s.fallback_rows, s.pruned) for s in stats.sizes
+    ] == sizes
+
+
 @pytest.mark.parametrize("power", (False, True))
 def test_fallback_rows_are_a_small_share(running, power):
     inst = with_power_cost(running) if power else running
@@ -439,6 +458,123 @@ def test_floor_keeps_rows_exactly_on_the_bound(bits, price):
         (price, 0.2), (price, 0.3), (0.0, 0.0),
         [grid, np.array([0.5, 1.0])], cost, 0.5,
     ) == (price, (2, 0))
+
+
+# -- the pruning bounds on their edges ----------------------------------------------
+
+EDGE_COST = PiecewiseLinearCost(l=0.5, k=2.0, w=1.0)
+"""``phi(x) = x/2`` up to 1."""
+
+
+def _window_from(x):
+    """The utility whose tie window starts exactly at ``x``."""
+    y = x + CHOICE_TIE_TOL
+    assert y - CHOICE_TIE_TOL == x
+    return y
+
+
+# Each case puts one row of a tiny search exactly on one edge of a pruning
+# step.  Offers are (u, v, c, prices) and every c is 0, so margins are
+# prices.  The designated offers run in order, so a later one only keeps
+# rows that can reach the profit an earlier one found; one whose margins
+# all fall short has every row pruned untouched.  ``phi_rows`` lists the
+# rows of each block on which the search needs phi with two other offers:
+# first the rows the phi-free bounds leave open, if any, then the kept rows.
+EDGE_CASES = {
+    # D at 1 is as tempting as A (v - p = 2), so only its utility 0.25 can
+    # keep the row: exactly A's 0.25 + tol less the window, kept, and sold.
+    # A and B, whose margins are 0, are then pruned.
+    "own_on_ustar": (
+        [(1.25, 3.0, 0.0, [1.0]), (_window_from(0.25), 2.0, 0.0, [0.0]), (0.0, 1.0, 0.0, [0.0])],
+        (1.0, (0, 0, 0)), 3, 2, [1],
+    ),
+    # as above, with D's 0.25 exactly the less tempting B's utility less the
+    # window: B's bound alone keeps the row, with no phi before it is kept
+    "own_on_usub": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (_window_from(0.25), 1.0, 0.0, [0.0])],
+        (1.0, (0, 0, 0)), 3, 2, [1],
+    ),
+    # B, 0.25 less tempting than A, resists phi(0.25) = 0.125: D's 0.25 is
+    # below B's bound and exactly B's overall utility less the window
+    "own_on_top": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]),
+         (_window_from(0.25) + 0.125, 1.75, 0.0, [0.0])],
+        (1.0, (0, 0, 0)), 3, 2, [1, 1],
+    ),
+    # D at 1 is exactly as tempting as A, not more, and its 0.5 is below
+    # A's 1: pruned.  A at 0 is kept and sells for 0; B at 0 is below D's
+    # 0.5 (D and A tie at v - p = 2, so D's utility is the bound): pruned
+    "temptation_on_vmax": (
+        [(1.5, 3.0, 0.0, [1.0]), (1.0, 2.0, 0.0, [0.0]), (0.0, 1.0, 0.0, [0.0])],
+        (0.0, (0, 0, 0)), 3, 2, [1],
+    ),
+    # D at 1 is as tempting as A and reaches A's 0, not B's 1: phi decides,
+    # and B's 1 - phi(1) = 0.5 is above D's 0.25: pruned.  A at 0 falls
+    # below D's 0.25: pruned.  B at 0 is kept and sells for 0
+    "temptation_on_vmax_open": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.0, 1.0, 0.0, [0.0])],
+        (0.0, (0, 0, 0)), 3, 2, [1, 1],
+    ),
+    # A and B at 0 are equally tempting (v - p = 2), so each resists nothing
+    # and B's 1 is the bound: D's row there is open, phi(0) = 0 prunes it.
+    # With B at 1, D sells at 1.  A's margin falls short: both rows pruned.
+    # B's top margin ties the best, so its row is tested, and its 0 is
+    # below D's 0.25, D and A again equally tempting: pruned
+    "equally_tempting": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.0, 2.0, 0.0, [0.0, 1.0])],
+        (1.0, (0, 0, 1)), 5, 4, [1, 1],
+    ),
+    # X sells at 1 with Y at 1 (a tie, v - p = 0 each); Y at 0 beats X at 1:
+    # pruned.  Then Y's top margin equals that best (i_F = nd - 1): both of
+    # its rows are tested, and Y at 1 with X at 1 keeps its window
+    "top_margin_ties_best": (
+        [(1.0, 1.0, 0.0, [0.0, 1.0]), (1.0, 1.0, 0.0, [0.0, 1.0])],
+        (1.0, (1, 1)), 4, 1, [],
+    ),
+    # X's cap is its i_F (0), so Y at 2, unaffordable, is kept: X at 1 then
+    # signs the menu.  Y at 0 beats X at 1: pruned.  Y's cap is its i_F (1):
+    # both rows kept, and Y at 1 is affordable exactly (u = p = 1)
+    "cap_on_i_f": (
+        [(1.0, 1.0, 0.0, [1.0, 2.0]), (1.0, 1.0, 0.0, [0.0, 1.0, 2.0])],
+        (1.0, (0, 1)), 5, 1, [],
+    ),
+    # D at 2 is unaffordable but the most tempting by far, so it sells on
+    # every row some other offer signs, with A or B at 0 or at 1 = its u:
+    # only (A, B) = (2, 2) is pruned.  A and B then need their top price 2,
+    # which only D or the other at index 0 or 1 lets them reach: one row
+    # each is pruned, and phi decides the two left, kept, in each
+    "others_on_their_caps": (
+        [(1.0, 10.0, 0.0, [2.0]), (1.0, 1.0, 0.0, [0.0, 1.0, 2.0]),
+         (1.0, 1.0, 0.0, [0.0, 1.0, 2.0])],
+        (2.0, (0, 0, 0)), 15, 3, [8, 2, 2, 2, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_pruning_bounds_hold_on_their_edges(monkeypatch, case):
+    offers, expected, tuples, pruned, phi_rows = EDGE_CASES[case]
+    u, v, c, grids = zip(*offers)
+    prices = [np.array(p) for p in grids]
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
+    seen = []
+    top = _kernels._top
+
+    def counted(ustar, usub, gap, cost):
+        if usub is not None:
+            seen.append(len(ustar))
+        return top(ustar, usub, gap, cost)
+
+    monkeypatch.setattr(_kernels, "_top", counted)
+    tally = _kernels.Tally()
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed", tally) == expected
+    assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
+
+
+def test_bracketed_takes_at_most_three_offers():
+    grids = [np.array([0.0, 1.0])] * 4
+    with pytest.raises(ValueError, match="at most three offers, got 4"):
+        _kernels.search_subset((1.0,) * 4, (1.0,) * 4, (0.0,) * 4, grids, EDGE_COST, "bracketed")
 
 
 def _wrong_estimate(kind, step):

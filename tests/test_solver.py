@@ -314,10 +314,15 @@ def test_psi_root_search_costs_a_fraction_of_bisection(monkeypatch):
 def test_psi_root_falls_back_to_the_full_bracket(monkeypatch, case):
     cost, y = case
     log = _counting_root_finder(monkeypatch)
-    assert psi_root(cost, y) == bisected_psi_root(cost, y)[0]
-    (lo, hi, raised), full = log["calls"]
-    assert 0.0 < lo < hi < y and full == (0.0, y, False)
+    root, bisection_evals = bisected_psi_root(cost, y)
+    assert psi_root(cost, y) == root
+    (lo, hi, raised), retry = log["calls"]
+    assert 0.0 < lo < hi < y and retry == (0.0, min(y, 2.0 * cost.phi_inverse(y)), False)
     assert raised == (case is FALLBACK)
+    # the retry's bracket ends near the root where it can: on the
+    # sign-check case, [0, y] would take 128 evaluations and bisection 103
+    assert (retry[1] < y) == (case is FALLBACK)
+    assert log["evals"] < 0.2 * bisection_evals
 
 
 def test_psi_root_bracket_failure_names_the_full_bracket():
