@@ -1,6 +1,6 @@
 """Analytic contract construction and willpower-regime classification.
 
-Three menu designs are priced for each candidate product ``x``:
+Three menu designs can sell a product ``x``:
 
 * commitment: sell ``x`` alone at its utility value;
 * indulging: pair ``x`` with the least-tempting alternative as bait, price
@@ -8,6 +8,11 @@ Three menu designs are priced for each candidate product ``x``:
 * compromising: add the most-tempting alternative as a never-consumed
   decoy whose price solves the same fixed point, then price ``x`` so the
   consumer is exactly indifferent to the decoy.
+
+Under a convex cost the product's role fixes the best design: commitment
+for the bait, indulging for the decoy (and for every product when the
+decoy is idle), compromise for the rest.  A solve prices only that design
+of each product and compares profits only across products.
 
 All three pricing equations are one equation in the resisted gap ``t``,
 ``psi(t) = t + phi(t) = y``.  ``psi_root`` solves it to adjacent doubles
@@ -42,9 +47,6 @@ before it takes a midpoint step."""
 
 PRICE_TOL = 1e-10
 """Absolute residual a searched price must meet in its own equation."""
-
-REVENUE_TIE_TOL = 1e-9
-"""Profit gap below which two contract designs count as revenue-equivalent."""
 
 
 class BracketFailure(RuntimeError):
@@ -244,11 +246,11 @@ class _PriceTable:
     bait, the decoy, the decoy's ``(price, residual)`` and whether the
     decoy is idle are the same for every product and are worked out once;
     the decoy's price is also its own indulging price.  Prices are solved
-    when first asked for, so a solve that fails raises where pricing the
-    designs one by one would first reach it, naming the design (indulging,
-    decoy or compromise) and the product whose price failed; a non-finite
-    price raises ``OverflowError``, named the same way, as soon as the
-    design holding it is priced.  Prices come from the closed forms where
+    when first asked for, so a solve computes only the prices its designs
+    need and raises at the first of them that fails, naming the design
+    (indulging, decoy or compromise) and the product; a non-finite price
+    raises ``OverflowError``, named the same way, as soon as the design
+    holding it is priced.  Prices come from the closed forms where
     the cost family has them (``has_closed_forms``), else from
     ``psi_root``, and then must meet ``PRICE_TOL``.
     """
@@ -302,26 +304,22 @@ the entry is None for a commitment."""
 
 
 def _best_design(x: Alternative, table: _PriceTable) -> _Design:
-    """Max-profit design for selling ``x``, skipping degenerate constructions.
+    """The design that sells ``x``, fixed by ``x``'s role; no profit is compared.
 
-    Indulging replaces commitment only when strictly more profitable.
-    Compromising replaces the best so far when more profitable by
-    ``REVENUE_TIE_TOL``, or within it unless the decoy is idle.
+    The bait sells by commitment; the decoy, or any product when the decoy
+    is idle, by indulging; every other product by compromise.  Under a
+    convex cost ``h(y) = y - psi^-1(y)`` is convex with ``h(0) = 0``, so
+    superadditive: a compromise earns at least the indulging design, which
+    earns at least commitment, and the first two tie exactly when the
+    decoy is idle (README "Solver" gives each design's profit in ``h``).
     """
-    best: _Design = (x.u - x.c, ContractKind.COMMITMENT, None)
     if x.id == table.bait.id:
-        return best
-    ind = table.indulging(x)
-    if ind[0] - x.c > best[0]:
-        best = (ind[0] - x.c, ContractKind.INDULGING, ind)
-    if x.id != table.decoy.id:
-        comp = table.compromise(x)
-        profit = comp[0] - x.c
-        if profit > best[0] + REVENUE_TIE_TOL or (
-            profit > best[0] - REVENUE_TIE_TOL and not table.decoy_is_idle
-        ):
-            best = (profit, ContractKind.COMPROMISING, comp)
-    return best
+        return x.u - x.c, ContractKind.COMMITMENT, None
+    if x.id == table.decoy.id or table.decoy_is_idle:
+        kind, entry = ContractKind.INDULGING, table.indulging(x)
+    else:
+        kind, entry = ContractKind.COMPROMISING, table.compromise(x)
+    return entry[0] - x.c, kind, entry
 
 
 def _solution(
@@ -395,11 +393,11 @@ def compromising_contract(x: Alternative, inst: ProblemInstance) -> Solution:
 
 
 def best_contract_for(x: Alternative, inst: ProblemInstance) -> Solution:
-    """Max-profit design for selling ``x``, skipping degenerate constructions.
+    """Max-profit design for selling ``x``, chosen by ``x``'s role.
 
-    When the compromising and indulging designs are revenue-equivalent
-    (within ``REVENUE_TIE_TOL``) and the decoy is genuinely idle, the
-    indulging one is reported.
+    Commitment for the bait, indulging for the decoy, compromise for any
+    other product; when the decoy is idle the compromise earns no more
+    than indulging, and the indulging design is reported.
     """
     table = _PriceTable(inst)
     _, kind, entry = _best_design(x, table)
@@ -420,7 +418,7 @@ def _optimal(inst: ProblemInstance, table: _PriceTable) -> tuple[Alternative, _D
 def optimal_contract(inst: ProblemInstance) -> Solution:
     """Profit-maximizing contract over all products; ties go to the lowest index.
 
-    Every product's designs are priced from one price table, and only the
+    Each product's design is priced from one price table, and only the
     winner is built into a contract.
     """
     table = _PriceTable(inst)
@@ -512,12 +510,12 @@ def classify_willpower_regime(inst: ProblemInstance) -> WillpowerRegime:
     shallow product thresholds) has no closed form; the prediction there
     is the direct maximization over the same table.
 
-    Outside case 2 only the named product's designs are priced, so the
-    classifier can answer where ``optimal_contract`` cannot: a price those
-    designs do not need may overflow.  On ``A(1e308, 1e308, 0)`` and
+    Outside case 2 only the named product's design is priced, so the
+    classifier can answer where ``optimal_contract`` cannot: a price that
+    design does not need may overflow.  On ``A(1e308, 1e308, 0)`` and
     ``B(0, 1.7e308, 0)`` case 1 sells the bait A by commitment, while the
     solve raises ``OverflowError`` on the decoy B's price.  That is
-    deliberate: pricing every design here would make the prediction an
+    deliberate: pricing every product here would make the prediction an
     echo of the solver.
     """
     steep, shallow, thresholds = _regime_thresholds(inst)

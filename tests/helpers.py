@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import math
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -124,6 +126,49 @@ def random_pw_instance(
 
 def with_power_cost(inst: ProblemInstance, alpha: float = 1.0, gamma: float = 2.0):
     return ProblemInstance(inst.alternatives, PowerCost(alpha=alpha, gamma=gamma))
+
+
+@dataclass(frozen=True)
+class QuadraticCost:
+    """Self-control cost ``a t + b t**2``, convex for ``a, b >= 0``.
+
+    A third family, outside the library: it meets the ``CostFunction``
+    protocol (``model.py``) and nothing more, so a solve on it shows that
+    the solver rests on convexity, not on the two shipped families.
+    """
+
+    kind: ClassVar[str] = "quadratic"
+    has_closed_forms: ClassVar[bool] = False
+
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if not (self.a >= 0.0 and self.b >= 0.0 and self.a + self.b > 0.0):
+            raise ValueError(f"need a, b >= 0 and a + b > 0, got a={self.a}, b={self.b}")
+
+    def phi(self, t: float) -> float:
+        if t <= 0.0:
+            return 0.0
+        return self.a * t + self.b * t * t  # a float product overflows to inf
+
+    def phi_inverse(self, y: float) -> float:
+        """The positive root of ``b t**2 + a t = y``, in the form that does
+        not cancel."""
+        if y <= 0.0:
+            return 0.0
+        disc = self.a * self.a + 4.0 * self.b * y
+        if disc == math.inf:  # 4 b y overflows; the linear term is lost there
+            return math.sqrt(y / self.b)
+        return y / (0.5 * (self.a + math.sqrt(disc)))
+
+    def phi_array(self, t):
+        t = np.maximum(t, 0.0)
+        return self.a * t + self.b * t * t
+
+    def decoy_is_idle(self, gap: float) -> bool:
+        """Only the linear member (``b == 0``) leaves the decoy idle."""
+        return self.b == 0.0
 
 
 class BisectedPiecewiseCost(PiecewiseLinearCost):

@@ -318,7 +318,7 @@ def test_numeric_overflow_is_a_one_line_solver_failure(tmp_path, args):
     proc = run_child("-m", "temptmenu.cli", args[0], str(path), *args[1:])
     assert proc.returncode == EXIT_SOLVER, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
-    assert proc.stderr.startswith("solver failure: BracketFailure: indulging price of B")
+    assert proc.stderr.startswith("solver failure: BracketFailure: decoy price of C")
     assert proc.stderr.count("\n") == 1
 
 
@@ -352,9 +352,9 @@ EXIT_TABLE = [
      ["verify", "{dir}/running.yaml", "--step", "0.5", "--assume-profit", "-inf"], EXIT_INPUT,
      "error: --assume-profit must be finite, got -inf\n"),
     ("solver-bracket-failure", ["solve", "{dir}/bracket.yaml"], EXIT_SOLVER,
-     "solver failure: BracketFailure: indulging price of B: residual "),
+     "solver failure: BracketFailure: decoy price of C: residual "),
     ("solver-bracket-failure-unit-scale", ["solve", "{dir}/unit_scale.yaml"], EXIT_SOLVER,
-     "solver failure: BracketFailure: indulging price of B: residual 1.14e-09 exceeds tol 1e-10\n"),
+     "solver failure: BracketFailure: decoy price of C: residual 1.7e-09 exceeds tol 1e-10\n"),
     # phi_array overflows to inf in the grid search without a numpy warning
     ("ok-steep-power-verify", ["verify", "{dir}/steep.yaml", "--step", "0.5"], 0, ""),
     # classify prices only the product its range names (the bait A, by

@@ -13,10 +13,12 @@ from temptmenu import (
     CHOICE_TIE_TOL,
     Alternative,
     Contract,
+    ContractKind,
     GridSpec,
     GridTooLarge,
     Offer,
     PiecewiseLinearCost,
+    PowerCost,
     ProblemInstance,
     Solution,
     compromising_contract,
@@ -26,11 +28,18 @@ from temptmenu import (
     optimal_contract,
     oversize_menu_search,
     accepts,
+    best_contract_for,
     realized_outcome,
     verify_solution,
 )
 from temptmenu import _kernels, oracle
-from helpers import near_tie_instance, random_pw_instance, running_instance, with_power_cost
+from helpers import (
+    QuadraticCost,
+    near_tie_instance,
+    random_pw_instance,
+    running_instance,
+    with_power_cost,
+)
 
 MODES = ("exhaustive", "bracketed")
 
@@ -171,6 +180,33 @@ def test_analytic_candidates_equal_the_public_constructors():
                     assert cand[-1] == decoy_price(inst)
             expected.append(cand)
         assert oracle._analytic_candidates(inst) == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_third_convex_family_matches_the_grid(mode):
+    # QuadraticCost lives in the tests only; the solver knows it through
+    # the cost protocol alone, yet sells what the enumeration finds best
+    rng = np.random.default_rng(97)
+    grid = GridSpec(price_step=0.5, price_min=0.0, price_max=40.0)
+    kinds = set()
+    for _ in range(8):
+        base = random_pw_instance(rng, int(rng.integers(3, 5)))
+        cost = QuadraticCost(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.02, 0.5)))
+        inst = ProblemInstance(base.alternatives, cost)
+        analytic = optimal_contract(inst)
+        sol = grid_best_contract(inst, grid, mode=mode)
+        if analytic.profit < 0.0:  # walking away is the grid's best
+            assert sol is None
+            continue
+        assert abs(sol.profit - analytic.profit) <= 1e-9
+        assert (sol.sold.id, sol.kind) == (analytic.sold.id, analytic.kind)
+        kinds.add(sol.kind)
+    assert len(kinds) == 3
+    # its linear member is the linear power cost, whose decoy is idle
+    alts = running_instance().alternatives
+    quad, power = (ProblemInstance(alts, c) for c in (QuadraticCost(0.5, 0.0), PowerCost(0.5, 1.0)))
+    assert optimal_contract(quad) == optimal_contract(power)
+    assert best_contract_for(alts[1], quad).kind is ContractKind.INDULGING
 
 
 def test_grid_only_profit_within_discretization_loss(running):

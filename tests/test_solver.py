@@ -33,7 +33,7 @@ from temptmenu import (
     verify_solution,
 )
 from temptmenu import solver
-from temptmenu.solver import REVENUE_TIE_TOL, _best_design, _self_tempting_price, psi_root
+from temptmenu.solver import _best_design, _self_tempting_price, psi_root
 from helpers import (
     BisectedPiecewiseCost,
     bisect_monotone,
@@ -417,6 +417,11 @@ def test_best_contract_reports_indulging_when_decoy_idle():
     assert best.profit == pytest.approx(5.0)
 
 
+DESIGN_TIE_TOL = 1e-9
+"""Profit gap below which ``_reference_optimum`` counts two designs of one
+product as tied."""
+
+
 class _StubTable:
     """The part of a price table ``_best_design`` reads, with set prices."""
 
@@ -439,42 +444,27 @@ class _StubTable:
 TIE_PRODUCT = Alternative("B", 6.0, 14.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "indulging, incumbent",
-    [(5.0, ContractKind.COMMITMENT), (8.0, ContractKind.INDULGING)],
-    ids=["over-commitment", "over-indulging"],
-)
-@pytest.mark.parametrize(
-    "offset, wins_idle, wins_active",
-    [
-        (2.0 * REVENUE_TIE_TOL, True, True),
-        (REVENUE_TIE_TOL, False, True),
-        (0.5 * REVENUE_TIE_TOL, False, True),
-        (-0.5 * REVENUE_TIE_TOL, False, True),
-        (-REVENUE_TIE_TOL, False, False),
-    ],
-    ids=["+2tol", "+tol", "+half-tol", "-half-tol", "-tol"],
-)
-@pytest.mark.parametrize("idle", [True, False], ids=["idle", "active"])
-def test_compromise_tie_rule_at_its_boundaries(indulging, incumbent, offset, wins_idle,
-                                               wins_active, idle):
-    # a compromise must beat the best design so far by more than
-    # REVENUE_TIE_TOL; within the window it wins only if the decoy works
-    best = max(indulging, TIE_PRODUCT.u)
-    table = _StubTable(indulging, best + offset, idle)
-    profit, kind, _ = _best_design(TIE_PRODUCT, table)
-    if wins_idle if idle else wins_active:
-        assert (profit, kind) == (best + offset, ContractKind.COMPROMISING)
-    else:
-        assert (profit, kind) == (best, incumbent)
+def _tie_case(indulging, offset, idle, incumbent):
+    kind = ContractKind.INDULGING if idle else ContractKind.COMPROMISING
+    name = {2.0: "+2tol", 1.0: "+tol", 0.5: "+half-tol", -0.5: "-half-tol", -1.0: "-tol"}[offset]
+    return pytest.param(
+        indulging, offset * DESIGN_TIE_TOL, idle, kind,
+        id=f"{'idle' if idle else 'active'}-{name}-over-{incumbent}",
+    )
 
 
-@pytest.mark.parametrize("idle", [True, False], ids=["idle", "active"])
-def test_indulging_must_strictly_beat_commitment(idle):
-    tie = _StubTable(TIE_PRODUCT.u, 0.0, idle)
-    assert _best_design(TIE_PRODUCT, tie)[:2] == (6.0, ContractKind.COMMITMENT)
-    above = _StubTable(math.nextafter(TIE_PRODUCT.u, math.inf), 0.0, idle)
-    assert _best_design(TIE_PRODUCT, above)[1] is ContractKind.INDULGING
+@pytest.mark.parametrize("indulging, offset, idle, kind", [
+    *(_tie_case(ind, off, False, inc)
+      for off in (2.0, 1.0, 0.5, -0.5)
+      for ind, inc in ((5.0, "commitment"), (8.0, "indulging"))),
+    *(_tie_case(8.0, off, True, "indulging") for off in (1.0, 0.5, -0.5, -1.0)),
+])
+def test_compromise_tie_rule_at_its_boundaries(indulging, offset, idle, kind):
+    # the product's role alone picks the design, whatever the profits near
+    # a tie: a compromise while the decoy is active, else indulging
+    table = _StubTable(indulging, max(indulging, TIE_PRODUCT.u) + offset, idle)
+    entry = table.indulging(TIE_PRODUCT) if idle else table.compromise(TIE_PRODUCT)
+    assert _best_design(TIE_PRODUCT, table) == (entry[0], kind, entry)
 
 
 def test_dominance_chain_on_random_instances():
@@ -664,7 +654,10 @@ def _decoy_idle(inst):
 
 
 def _reference_optimum(inst):
-    """The optimum built design by design from the public constructors."""
+    """The optimum built design by design from the public constructors,
+    comparing every design's profit: indulging must strictly beat
+    commitment, and a compromise must beat the best so far by
+    ``DESIGN_TIE_TOL``, or come within it while the decoy is active."""
     bait, decoy = inst.least_tempting, inst.most_tempting
     best = None
     for x in inst.alternatives:
@@ -675,8 +668,8 @@ def _reference_optimum(inst):
                 sol = ind
             if x.id != decoy.id:
                 comp = compromising_contract(x, inst)
-                if comp.profit > sol.profit + REVENUE_TIE_TOL or (
-                    comp.profit > sol.profit - REVENUE_TIE_TOL and not _decoy_idle(inst)
+                if comp.profit > sol.profit + DESIGN_TIE_TOL or (
+                    comp.profit > sol.profit - DESIGN_TIE_TOL and not _decoy_idle(inst)
                 ):
                     sol = comp
         if best is None or sol.profit > best.profit:
@@ -707,10 +700,67 @@ def test_optimal_contract_equals_design_by_design_reference(priced):
         assert optimal_contract(inst) == _reference_optimum(inst)
 
 
-def test_first_failure_is_the_design_by_design_one():
+def _money_scaled(inst, s):
+    """``inst`` with every money amount times ``s``, the cost rescaled so
+    that ``s * phi(t / s)`` is the same self-control cost."""
+    cost = inst.cost_fn
+    if isinstance(cost, PowerCost):
+        cost = PowerCost(cost.alpha * s ** (1.0 - cost.gamma), cost.gamma)
+    else:
+        cost = PiecewiseLinearCost(cost.l, cost.k, s * cost.w)
+    alts = tuple(Alternative(a.id, s * a.u, s * a.v, s * a.c) for a in inst.alternatives)
+    return ProblemInstance(alts, cost)
+
+
+def test_role_rule_equals_the_profit_comparison_on_random_instances():
+    # The rule prices one design per product; the reference prices all of
+    # them and compares profits.  At money scales 1e6-1e9 almost no power
+    # price meets the absolute PRICE_TOL (a known scale defect); such a
+    # solve must fail in the reference too, since the reference needs every
+    # price the rule does.
+    rng = np.random.default_rng(83)
+    compared = {}
+    for i in range(2000):
+        inst = random_pw_instance(rng, int(rng.integers(3, 9)))
+        family = ("piecewise", "power")[i % 2]
+        if family == "power":
+            gamma = float(rng.choice([1.0, rng.uniform(1.0, 4.0)]))
+            inst = with_power_cost(inst, float(rng.uniform(0.1, 3.0)), gamma)
+        scaled = i % 4 >= 2
+        if scaled:
+            inst = _money_scaled(inst, float(10.0 ** rng.uniform(6.0, 9.0)))
+        slack = 16 * math.ulp(max(max(abs(a.u), abs(a.v), abs(a.c)) for a in inst.alternatives))
+        bait, decoy = inst.least_tempting, inst.most_tempting
+        for x in inst.alternatives:
+            if x.id in (bait.id, decoy.id):
+                continue
+            try:
+                ind = indulging_contract(x, inst).profit
+                comp = compromising_contract(x, inst).profit
+            except BracketFailure:
+                continue
+            assert comp >= ind - slack and ind >= x.u - x.c - slack, (i, x)
+        try:
+            sol = optimal_contract(inst)
+        except BracketFailure:
+            with pytest.raises(BracketFailure):
+                _reference_optimum(inst)
+            continue
+        try:
+            reference = _reference_optimum(inst)
+        except BracketFailure:
+            continue
+        assert sol == reference, i
+        compared[family, scaled] = compared.get((family, scaled), 0) + 1
+    assert compared[("piecewise", False)] == compared[("piecewise", True)] == 500
+    assert compared[("power", False)] == 500
+
+
+def test_first_failure_is_the_rules_first_price():
     # At prices in the hundreds, gamma = 300 makes phi's slope so steep
     # that no double meets the absolute residual tolerance, for B and C
-    # alike.  Walking the products in order meets B first.
+    # alike.  The rule sells B by compromise, whose price needs the
+    # decoy C's first; B's own indulging price is never computed.
     alts = tuple(
         Alternative(a.id, 100.0 * a.u, 100.0 * a.v, 100.0 * a.c)
         for a in running_instance().alternatives
@@ -718,10 +768,18 @@ def test_first_failure_is_the_design_by_design_one():
     inst = ProblemInstance(alts, PowerCost(alpha=0.5, gamma=300.0))
     with pytest.raises(BracketFailure) as err:
         optimal_contract(inst)
-    assert str(err.value).startswith("indulging price of B: residual ")
+    assert str(err.value).startswith("decoy price of C: residual ")
     assert str(err.value).endswith(" exceeds tol 1e-10")
-    # with the decoy first, its solve is the first one reached
-    reordered = ProblemInstance((alts[2], alts[0], alts[1]), inst.cost_fn)
+    with pytest.raises(BracketFailure, match=r"^indulging price of B: residual "):
+        indulging_contract(alts[1], inst)
+    # a linear cost leaves the decoy idle, so B sells by indulging: walking
+    # the products in order meets B's price first, or C's with C first
+    linear = ProblemInstance(running_instance().alternatives, PowerCost(alpha=1e12, gamma=1.0))
+    with pytest.raises(BracketFailure, match=r"^indulging price of B: residual "):
+        optimal_contract(linear)
+    reordered = ProblemInstance(
+        tuple(linear.alternatives[i] for i in (2, 0, 1)), linear.cost_fn
+    )
     with pytest.raises(BracketFailure, match=r"^decoy price of C: residual "):
         optimal_contract(reordered)
 
