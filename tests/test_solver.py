@@ -454,10 +454,10 @@ def _tie_case(indulging, offset, idle, incumbent):
 
 
 @pytest.mark.parametrize("indulging, offset, idle, kind", [
-    *(_tie_case(ind, off, False, inc)
-      for off in (2.0, 1.0, 0.5, -0.5)
-      for ind, inc in ((5.0, "commitment"), (8.0, "indulging"))),
-    *(_tie_case(8.0, off, True, "indulging") for off in (1.0, 0.5, -0.5, -1.0)),
+    _tie_case(ind, off, idle, inc)
+    for idle in (True, False)
+    for off in (2.0, 1.0, 0.5, -0.5, -1.0)
+    for ind, inc in ((5.0, "commitment"), (8.0, "indulging"))
 ])
 def test_compromise_tie_rule_at_its_boundaries(indulging, offset, idle, kind):
     # the product's role alone picks the design, whatever the profits near
@@ -465,6 +465,21 @@ def test_compromise_tie_rule_at_its_boundaries(indulging, offset, idle, kind):
     table = _StubTable(indulging, max(indulging, TIE_PRODUCT.u) + offset, idle)
     entry = table.indulging(TIE_PRODUCT) if idle else table.compromise(TIE_PRODUCT)
     assert _best_design(TIE_PRODUCT, table) == (entry[0], kind, entry)
+
+
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "active"])
+def test_indulging_must_strictly_beat_commitment(idle):
+    # why the rule never sells a product other than the bait by commitment:
+    # off the bait, indulging earns h(e_x - e_bait) > 0 more, idle decoy or not
+    inst = running_instance(w=20.0 if idle else 1.0)
+    assert inst.cost_fn.decoy_is_idle(
+        inst.most_tempting.e - inst.least_tempting.e
+    ) is idle
+    for x in inst.alternatives[1:]:
+        ind = indulging_contract(x, inst)
+        assert ind.profit > commitment_contract(x).profit, x.id
+        assert best_contract_for(x, inst).kind is not ContractKind.COMMITMENT
+        assert best_contract_for(x, inst).profit >= ind.profit
 
 
 def test_dominance_chain_on_random_instances():
