@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer harness: the analytic solver timed layer by layer, sources side by side.
+"""Layer harness: the solver and the grid search timed layer by layer, sources side by side.
 
     python3 benchmarks/bench.py --side parent=../parent/src --side change=src \\
         --passes 5 --out benchmarks/BENCH_<n>.json
@@ -19,6 +19,12 @@ prices are root searches) at n = 3, 8, 64 and 1024:
 * beside each timing, the ``solver.psi_root`` calls per call, counted on
   one untimed call per instance: the work the timing is made of.
 
+It also times ``grid_best_contract`` (bracketed) on the worked instance,
+for both families (its piecewise cost; ``PowerCost(1, 2)``), on the bare
+grid over ``[0, 20]`` at steps 0.5, 0.1, 0.05 and 0.01: the best of
+``--repeats`` calls, with the search's ``tuples``, ``pruned`` and
+``window_checks`` per menu size beside it.
+
 The JSON written to ``--out`` holds the machine facts, the settings, and
 per side and row the pass values in the order run.  The table printed at
 the end gives each row's best pass per side.
@@ -27,6 +33,7 @@ the end gives each row's best pass per side.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import json
@@ -42,6 +49,9 @@ SIZES = (3, 8, 64, 1024)
 FAMILIES = ("piecewise", "power")
 INSTANCES = {3: 15, 8: 15, 64: 15, 1024: 3}
 SEED = 17
+GRID_STEPS = (0.5, 0.1, 0.05, 0.01)
+GRID_PRICE_MAX = 20.0
+ROW_KEYS = ("layer", "family", "n", "step")
 
 
 def draw_instances(tm, family: str, n: int, count: int) -> list:
@@ -117,13 +127,49 @@ def measure(tm, repeats: int, sizes=SIZES, instances=INSTANCES) -> list[dict]:
     return rows
 
 
+def worked_instance(tm, family: str):
+    """The worked three-product instance, with its own cost or ``PowerCost(1, 2)``."""
+    if family == "piecewise":
+        cost = tm.PiecewiseLinearCost(0.5, 2.0, 1.0)
+    else:
+        cost = tm.PowerCost(1.0, 2.0)
+    alts = (("A", 10.0, 10.0, 5.0), ("B", 8.0, 14.0, 5.0), ("C", 2.0, 16.0, 5.0))
+    return tm.ProblemInstance(tuple(tm.Alternative(*a) for a in alts), cost)
+
+
+def measure_grid(tm, repeats: int, steps=GRID_STEPS, price_max=GRID_PRICE_MAX) -> list[dict]:
+    """The bracketed grid search on the worked instance: one row per family
+    and step, with the search's work per menu size."""
+    rows = []
+    for family in FAMILIES:
+        inst = worked_instance(tm, family)
+        for step in steps:
+            grid = tm.GridSpec(
+                price_step=step, price_min=0.0, price_max=price_max,
+                include_analytic_prices=False,
+            )
+            search = functools.partial(tm.grid_best_contract, grid=grid, mode="bracketed")
+            _, stats = search(inst, stats=True)
+            gc.collect()
+            rows.append({
+                "layer": "grid_best_contract", "family": family, "step": step,
+                "ms": 1e3 * best_of(search, inst, repeats),
+                "sizes": [
+                    {"size": s.size, "tuples": s.tuples, "pruned": s.pruned,
+                     "window_checks": s.window_checks}
+                    for s in stats.sizes
+                ],
+            })
+    return rows
+
+
 def _worker(src: str, repeats: int) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import temptmenu
 
     if not os.path.abspath(temptmenu.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"error: imported temptmenu from {temptmenu.__file__}, not {src}")
-    print(json.dumps(measure(temptmenu, repeats)))
+    print(json.dumps(measure(temptmenu, repeats) + measure_grid(temptmenu, repeats)))
 
 
 def _machine() -> dict:
@@ -162,14 +208,14 @@ def main(argv=None) -> None:
     for label, runs in passes.items():
         for row_runs in zip(*runs):
             first = row_runs[0]
-            key = (first["layer"], first["family"], first["n"])
-            entry = rows.setdefault(key, {
-                "layer": first["layer"], "family": first["family"], "n": first["n"],
-                "instances": first["instances"], "sides": {},
-            })
-            entry["sides"][label] = {
+            key = tuple(first.get(k) for k in ROW_KEYS)
+            entry = rows.setdefault(
+                key, {k: first[k] for k in ROW_KEYS + ("instances",) if k in first}
+            )
+            # the work is the same on every pass: the first one's is kept
+            entry.setdefault("sides", {})[label] = {
                 "ms_per_pass": [r["ms"] for r in row_runs],
-                "psi_root_calls_per_call": first["psi_root_calls_per_call"],
+                **{k: v for k, v in first.items() if k not in entry and k != "ms"},
             }
     doc = {
         "command": "python3 benchmarks/bench.py " + " ".join(
@@ -177,9 +223,11 @@ def main(argv=None) -> None:
         ) + f" --passes {args.passes} --repeats {args.repeats}",
         "machine": _machine(),
         "method": (
-            f"per row: median over the instances of each one's best of {args.repeats} calls, "
-            "in ms, one value per pass; sides alternate which runs first; "
-            "psi_root calls counted on one untimed call per instance"
+            f"per solver row: median over the instances of each one's best of {args.repeats} "
+            "calls, in ms, one value per pass, psi_root calls counted on one untimed call per "
+            f"instance; per grid row: the best of {args.repeats} calls, in ms, one value per "
+            "pass, the work per menu size counted on one untimed call; sides alternate which "
+            "runs first"
         ),
         "sides": list(sides),
         "rows": list(rows.values()),
@@ -189,15 +237,24 @@ def main(argv=None) -> None:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
     labels = list(sides)
-    print(f"{'layer':26} {'family':9} {'n':>5} " + " ".join(
-        f"{label + ' ms':>14} {'psi_root':>8}" for label in labels))
+    print(f"{'layer':26} {'family':9} {'size':>10} " + " ".join(
+        f"{label + ' ms':>14} {'work':>10}" for label in labels))
     for row in doc["rows"]:
+        size = f"n={row['n']}" if "n" in row else f"step={row['step']}"
         cells = " ".join(
-            f"{min(row['sides'][label]['ms_per_pass']):14.4f} "
-            f"{row['sides'][label]['psi_root_calls_per_call']:8.1f}"
+            f"{min(row['sides'][label]['ms_per_pass']):14.4f} {_work(row['sides'][label]):>10}"
             for label in labels
         )
-        print(f"{row['layer']:26} {row['family']:9} {row['n']:5d} {cells}")
+        print(f"{row['layer']:26} {row['family']:9} {size:>10} {cells}")
+
+
+def _work(side: dict) -> str:
+    """A side's work in a table cell: ``psi_root`` calls per call, or the
+    grid search's rows left after pruning over the rows walked, all sizes."""
+    if "sizes" not in side:
+        return f"{side['psi_root_calls_per_call']:.1f}"
+    tuples = sum(s["tuples"] for s in side["sizes"])
+    return f"{tuples - sum(s['pruned'] for s in side['sizes'])}/{tuples}"
 
 
 if __name__ == "__main__":

@@ -38,9 +38,7 @@ lexicographically smallest price-index tuple):
      rows pass if ``caps[d] >= i_F``, and otherwise only those with an
      affordable other offer.  ``u_t - P_t[i] >= 0`` holds exactly when
      ``i <= caps[t]``, because a rounded difference keeps the sign of the
-     exact one.  The rows are therefore found by index, a prefix of the
-     block plus the rows past it whose last index is at most its cap,
-     and only they are gathered.
+     exact one.
   3. At ``p``, the designated offer must be the most tempting,
      ``vd - p > vmax``, or reach ``ud - p >= top - CHOICE_TIE_TOL``.  Here
      ``vmax`` is the others' largest temptation value and ``top`` their
@@ -52,14 +50,49 @@ lexicographically smallest price-index tuple):
      others, ``usub`` is the other one's and ``gap`` the temptation it
      resists.  Rounding is monotone, so the test splits into
      ``ud - p >= ustar - CHOICE_TIE_TOL`` and
-     ``ud - p >= (usub - phi(gap)) - CHOICE_TIE_TOL``.  A row that is not
-     the most tempting and fails the first is dropped; one with
-     ``ud - p >= usub - CHOICE_TIE_TOL`` passes the second, as
-     ``phi >= 0``; ``phi`` is evaluated only on the rows left.
+     ``ud - p >= (usub - phi(gap)) - CHOICE_TIE_TOL``.  A row passes
+     without ``phi`` where the designated offer is the most tempting or
+     reaches both others' ``u_t - CHOICE_TIE_TOL``; it is open where it
+     reaches the most tempting one's but not the other's, and ``phi``
+     decides it; it is dropped elsewhere.
 
-  The blocks and their order are fixed, so ``best`` and every counter
-  change as if each row were tested in full.  Rows whose profit can equal
-  ``F`` are kept, so the tie order is unchanged.
+  Steps 2 and 3 never look at a row one by one.  ``U_t = u_t - P_t`` and
+  ``V_t = v_t - P_t`` fall with the index, also in IEEE arithmetic, and so
+  does ``U_t - CHOICE_TIE_TOL``; their negations are exact, so ``-V_t``
+  and ``-(U_t - CHOICE_TIE_TOL)``, computed once per search, are sorted.
+  With the rows ordered by the index of the leading other offer ``a``,
+  then by that of the last one ``b``, each test above flips at one last
+  index per leading index, found by ``searchsorted`` exactly where the
+  per-row comparison flips:
+
+  * ``vd - p > v_b`` from the first ``-V_b > -(vd - p)``
+    (``side="right"``: a row with ``v_b == vd - p`` is not past it);
+  * ``ud - p >= u_b - CHOICE_TIE_TOL`` from the first
+    ``-(U_b - CHOICE_TIE_TOL) >= -(ud - p)`` (``side="left"``: a row on the
+    edge passes);
+  * ``v_a >= v_b``, so the leading offer is the most tempting of the two
+    (the tie rule of ``_rival``), from the first ``-V_b >= -V_a``
+    (``side="left"``);
+  * the leading offer's own tests, ``vd - p > v_a`` and
+    ``ud - p >= u_a - CHOICE_TIE_TOL``, hold or fail for the whole leading
+    index;
+  * step 2's caps: a leading index at most its cap keeps every last
+    index, any other ends at the last offer's cap plus one;
+  * the block: each leading index keeps only the last indices inside the
+    block, so a block may end inside a leading index.
+
+  So per leading index the rows kept without ``phi`` are one interval,
+  ending at the block or cap end, and the open rows one interval before
+  it.  Both are built for all of a block's leading indices at once with
+  ``repeat`` and ``cumsum``, ``phi`` is evaluated on the open rows only,
+  and ``tuples`` and ``pruned`` count from the interval lengths.  A
+  two-offer subset has one interval per block.  A pruned row is never
+  built.
+
+  The blocks and their order are fixed, and ``i_F`` is set per block, so
+  ``best`` and every counter change as if each row were tested in full.
+  Rows whose profit can equal ``F`` are kept, so the tie order is
+  unchanged.
 
 The cost is the instance's cost object; the kernels only call its
 elementwise ``phi_array``.  Both searches apply the model's choice rule:
@@ -206,20 +239,60 @@ def _bisect(window, hi, tally):
         hi2 = np.where(open_ & ~good, mid, hi2)
 
 
-def _affordable(start, stop, caps, others, sizes):
-    """Flat rows in ``[start, stop)`` where some other offer is affordable.
+def _spans(lead, lo, hi):
+    """Rows of the intervals ``[lo, hi)`` of the last index, one per
+    leading index in ``lead``, as (leading, last) index arrays."""
+    n = np.maximum(hi - lo, 0)
+    ends = np.cumsum(n)
+    last = np.arange(ends[-1]) + np.repeat(lo - ends + n, n)
+    return np.repeat(lead, n), last
 
-    ``u_t - P_t[i] >= 0`` exactly when ``i <= caps[t]``, as a rounded
-    difference keeps the sign of the exact one, so the first other offer
-    is affordable on a prefix of the rows and the second wherever the
-    row's last index is at most its cap.
+
+def _kept(start, stop, own, temptation, afford_only, others, caps, U, V, keys, cost):
+    """Index arrays, one per other offer, of the rows in ``[start, stop)``
+    that reach the designated offer's window bound at ``own, temptation``
+    (module docstring, steps 2 and 3), built interval by interval.
+
+    ``keys[t]`` holds ``-V_t`` and ``-(U_t - CHOICE_TIE_TOL)``, both
+    non-decreasing, so each end is one ``searchsorted``.  With
+    ``afford_only``, only rows where some other offer is affordable count.
     """
-    stride = sizes[1] if len(sizes) == 2 else 1
-    lead = min(max((caps[others[0]] + 1) * stride, start), stop)
-    rows = np.arange(start, lead)
-    if len(sizes) == 2:
-        tail = np.arange(lead, stop)
-        rows = np.concatenate([rows, tail[tail % stride <= caps[others[1]]]])
+    b = others[-1]
+    nvb, nwb = keys[b]
+    nb = len(nvb)
+    # first last index where vd - p > v_b, and where ud - p >= u_b - tol
+    tempt_b = int(np.searchsorted(nvb, -temptation, side="right"))
+    reach_b = int(np.searchsorted(nwb, -own, side="left"))
+    if len(others) == 1:
+        lo = max(min(tempt_b, reach_b), start)
+        hi = min(stop, caps[b] + 1) if afford_only else stop
+        return (np.arange(lo, max(lo, hi)),)
+    a = others[0]
+    i0, i1 = start // nb, (stop - 1) // nb + 1
+    lead = np.arange(i0, i1)
+    base = lead * nb
+    blo = np.maximum(start - base, 0)
+    bhi = np.minimum(stop - base, nb)
+    if afford_only:
+        bhi = np.where(lead <= caps[a], bhi, np.minimum(bhi, caps[b] + 1))
+    nva, nwa = keys[a][0][i0:i1], keys[a][1][i0:i1]
+    beats_a = -temptation < nva  # vd - p > v_a
+    reaches_a = -own <= nwa  # ud - p >= u_a - tol
+    # first last index where v_a >= v_b, a the most tempting (ties go to a),
+    # and where d is the most tempting
+    a_first = np.searchsorted(nvb, nva, side="left")
+    tempt = np.where(beats_a, tempt_b, nb)
+    # kept without phi: d the most tempting, or reaching both windows
+    klo = np.maximum(np.minimum(tempt, np.where(reaches_a, reach_b, nb)), blo)
+    # open: d reaches the most tempting one's window but not the other's
+    olo = np.where(reaches_a, a_first, reach_b)
+    ohi = np.minimum(np.minimum(a_first + reach_b - olo, tempt), bhi)
+    rows = _spans(lead, klo, bhi)
+    ia, ib = _spans(lead, np.maximum(olo, blo), ohi)
+    if ia.size:
+        _, ustar, usub, gap = _rival((U[a][ia], U[b][ib]), (V[a][ia], V[b][ib]))
+        ok = own >= _top(ustar, usub, gap, cost) - CHOICE_TIE_TOL
+        rows = [np.concatenate([r, i[ok]]) for r, i in zip(rows, (ia, ib))]
     return rows
 
 
@@ -229,12 +302,15 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
 
     A row is pruned, before any window check, when its profit bound falls
     short of ``max(best so far, floor)``; rows that can tie it are kept.
+    Only the kept rows are built, as intervals of the last index.
     """
     m = len(prices)
-    table = psi_table(prices, v, cost)
-    # each offer's utility and temptation value at each of its prices
+    table = None  # built for the first kept row: many searches keep none
+    # each offer's utility and temptation value at each of its prices, and
+    # the non-decreasing keys ``_kept`` searches
     U = [u[t] - p for t, p in enumerate(prices)]
     V = [v[t] - p for t, p in enumerate(prices)]
+    keys = [(-y, -(x - CHOICE_TIE_TOL)) for x, y in zip(U, V)]
     best = -np.inf
     best_tuple = None
     for d in range(m):
@@ -242,8 +318,7 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
         Pd = prices[d]
         nd = len(Pd)
         margins = Pd - c[d]
-        sizes = tuple(len(prices[t]) for t in others)
-        total = int(np.prod(sizes))
+        total = math.prod(len(prices[t]) for t in others)
         for start in range(0, total, ROW_BLOCK):
             stop = min(start + ROW_BLOCK, total)
             # prune the rows that cannot reach the running best (module
@@ -254,39 +329,23 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
                 tally.pruned += total - start
                 break
             tally.tuples += stop - start
-            if caps[d] >= i_f:
-                rows = np.arange(start, stop)
-            else:
-                rows = _affordable(start, stop, caps, others, sizes)
-            oidx = np.unravel_index(rows, sizes)
-            uo = [U[t][i] for t, i in zip(others, oidx)]
-            vo = [V[t][i] for t, i in zip(others, oidx)]
-            vmax, ustar, usub, gap = _rival(uo, vo)
             pf = Pd[i_f]
-            own, temptation = u[d] - pf, v[d] - pf
-            keep = (temptation > vmax) | (own >= ustar - CHOICE_TIE_TOL)
-            if usub is not None:
-                # usub - phi(gap) <= usub, as phi >= 0: only the rows that
-                # reach ustar's window but not usub's need phi
-                j = np.flatnonzero(
-                    keep & (temptation <= vmax) & (own < usub - CHOICE_TIE_TOL)
-                )
-                if j.size:
-                    keep[j] = own >= _top(ustar[j], usub[j], gap[j], cost) - CHOICE_TIE_TOL
-            kept = int(np.count_nonzero(keep))
+            oidx = _kept(
+                start, stop, u[d] - pf, v[d] - pf, caps[d] < i_f, others, caps, U, V, keys, cost
+            )
+            kept = oidx[0].size
             tally.pruned += stop - start - kept
             if not kept:
                 continue
-            oidx = [i[keep] for i in oidx]
-            uo = [x[keep] for x in uo]
-            vo = [x[keep] for x in vo]
-            vmax = vmax[keep]
-            if usub is not None:
-                usub, gap = usub[keep], gap[keep]
-            top = _top(ustar[keep], usub, gap, cost)
+            uo = [U[t][i] for t, i in zip(others, oidx)]
+            vo = [V[t][i] for t, i in zip(others, oidx)]
+            vmax, ustar, usub, gap = _rival(uo, vo)
+            top = _top(ustar, usub, gap, cost)
             afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, oidx)])
             hi = np.where(afford, nd - 1, caps[d])
 
+            if table is None:
+                table = psi_table(prices, v, cost)
             window = _window(u[d], v[d], Pd, uo, vo, cost)
             est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)

@@ -43,3 +43,22 @@ def test_one_pass_gives_a_row_per_layer_family_and_size():
     assert calls[("optimal_contract", "power", 8)] == 7
     assert calls[("optimal_contract", "piecewise", 8)] == 0  # closed forms
     assert all(r["ms"] > 0.0 for r in rows)
+
+
+def test_grid_rows_count_the_hand_counted_rows():
+    # prices 0, 5 and 10 for every alternative, as in
+    # test_oracle.py::test_search_stats_count_rows_by_hand: on the
+    # piecewise worked instance 6 of 18 two-offer rows and 7 of 27
+    # three-offer rows are left after pruning, two window checks each
+    rows = bench.measure_grid(temptmenu, repeats=1, steps=(5.0,), price_max=10.0)
+    assert [(r["layer"], r["family"], r["step"]) for r in rows] == [
+        ("grid_best_contract", "piecewise", 5.0), ("grid_best_contract", "power", 5.0),
+    ]
+    work = {
+        r["family"]: [(s["size"], s["tuples"], s["pruned"], s["window_checks"]) for s in r["sizes"]]
+        for r in rows
+    }
+    assert work["piecewise"] == [(1, 3, 0, 0), (2, 18, 12, 12), (3, 27, 20, 14)]
+    # the rows walked depend on the grid alone, not on the cost
+    assert [w[:2] for w in work["power"]] == [(1, 3), (2, 18), (3, 27)]
+    assert all(r["ms"] > 0.0 for r in rows)

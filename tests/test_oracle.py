@@ -399,6 +399,181 @@ def test_search_stats_are_pinned_on_the_worked_instance(running, power, sizes):
     ] == sizes
 
 
+PINNED_GAMMAS = (1.5, 2.0, 20.0, 60.0, 300.0)
+
+
+def _pinned_search(i):
+    """Random search ``i``: instance, grid and floor, drawn from its own seed.
+
+    A third are piecewise, the rest power costs with ``gamma`` up to 300;
+    n is 3 or 4, the step 0.25 or 0.1, analytic prices on for half, and a
+    random floor for the ``search_subset`` call over the first three offers.
+    """
+    rng = np.random.default_rng([19, i])
+    inst = random_pw_instance(rng, n=3 + i % 2)
+    if i % 3:
+        inst = with_power_cost(inst, float(rng.uniform(0.2, 3.0)), PINNED_GAMMAS[i % 5])
+    grid = GridSpec(
+        price_step=(0.25, 0.1)[(i // 2) % 2], price_min=0.0, price_max=22.0,
+        include_analytic_prices=(i // 4) % 2 == 0,
+    )
+    return inst, grid, float(rng.uniform(0.0, 15.0))
+
+
+# per search: the menu as ((id, price), ...) and its profit, or None; the
+# SizeStats as (size, tuples, window_checks, fallback_rows, pruned); and the
+# floored three-offer search as (result, (tuples, window_checks,
+# fallback_rows, pruned)); every value as the search that built and tested
+# each row recorded it: building only the kept rows must change none
+PINNED_SEARCHES = {
+    0: (
+        ((('a1', 18.517386896334074), ('a2', 18.549509924269056)), 12.316201567792646),
+        [(1, 3, 0, 0, 0), (2, 546, 280, 0, 406), (3, 24842, 5124, 0, 22280)],
+        ((12.316201567792646, (53, 75, 76)), (24842, 21646, 0, 14019)),
+    ),
+    1: (
+        ((('a1', 28.544873534341676), ('a3', 12.890180174994308)), 21.671951810783902),
+        [(1, 4, 0, 0, 0), (2, 1095, 280, 0, 955), (3, 99916, 360, 0, 99736)],
+        ((14.627078276442226, (72, 87, 66)), (25208, 15896, 0, 17260)),
+    ),
+    2: (
+        ((('a0', 18.482610535973166), ('a1', 18.036785813379748), ('a2', 19.48706466071273)),
+         13.518659694407129),
+        [(1, 3, 0, 0, 0), (2, 1338, 788, 0, 945), (3, 149186, 1189, 0, 148592)],
+        ((13.518659694407129, (185, 182, 197)), (149186, 12369, 0, 143002)),
+    ),
+    3: (
+        ((('a0', 21.418715840749876), ('a1', 27.089414817197333), ('a3', 15.532442890948177)),
+         21.36329224064983),
+        [(1, 4, 0, 0, 0), (2, 2679, 802, 0, 2278), (3, 598084, 19457, 0, 588356)],
+        ((17.309045401770977, (175, 222, 108)), (150080, 15600, 0, 142280)),
+    ),
+    4: (
+        ((('a0', 16.0), ('a1', 14.75)), 12.856182152724546),
+        [(1, 3, 0, 0, 0), (2, 534, 66, 0, 501), (3, 23763, 2910, 0, 22308)],
+        ((9.869890295636274, (24, 23, 88)), (23763, 20820, 0, 13353)),
+    ),
+    5: (
+        ((('a2', 17.25), ('a3', 22.0)), 17.73431007121055),
+        [(1, 4, 0, 0, 0), (2, 1068, 288, 0, 924), (3, 95052, 3586, 0, 93259)],
+        ((13.399411784015996, (50, 88, 57)), (23763, 16540, 0, 15493)),
+    ),
+    6: (
+        ((('a0', 18.0),), 12.381386018051527),
+        [(1, 3, 0, 0, 0), (2, 1326, 878, 0, 887), (3, 146523, 74280, 0, 109383)],
+        ((12.381386018051527, (180, 134, 162)), (146523, 96146, 0, 98450)),
+    ),
+    7: (
+        ((('a0', 17.7), ('a1', 19.5), ('a2', 16.8)), 15.868877914529122),
+        [(1, 4, 0, 0, 0), (2, 2652, 46, 0, 2629), (3, 586092, 1288, 0, 585448)],
+        ((15.868877914529122, (177, 195, 168)), (146523, 29140, 0, 131953)),
+    ),
+    8: (
+        ((('a0', 8.786495177826389), ('a1', 19.28273371733146)), 18.11484751674744),
+        [(1, 3, 0, 0, 0), (2, 546, 74, 0, 509), (3, 24842, 240, 0, 24722)],
+        ((18.11484751674744, (36, 79, 73)), (24842, 12790, 0, 18447)),
+    ),
+    9: (
+        ((('a1', 16.786818440797422), ('a2', 16.6656113243111), ('a3', 17.469216714455413)),
+         15.674435108588213),
+        [(1, 4, 0, 0, 0), (2, 1095, 334, 0, 928), (3, 99916, 4436, 0, 97698)],
+        ((15.387616667790791, (58, 68, 67)), (25024, 11184, 0, 19432)),
+    ),
+    10: (
+        ((('a0', 17.4029169115322), ('a2', 29.044049022439378)), 11.726550121639661),
+        [(1, 3, 0, 0, 0), (2, 1338, 882, 0, 898), (3, 149186, 18726, 0, 139823)],
+        ((11.726550121639661, (175, 186, 222)), (149186, 107378, 0, 95516)),
+    ),
+    11: (
+        ((('a0', 10.361902017758325), ('a3', 16.795690561948653)), 9.509729756415481),
+        [(1, 4, 0, 0, 0), (2, 2679, 438, 0, 2460), (3, 598084, 73151, 0, 561509)],
+        ((8.030921419479297, (104, 148, 111)), (149632, 44525, 0, 127463)),
+    ),
+    12: (
+        ((('a0', 14.25), ('a2', 22.0)), 12.072344721041501),
+        [(1, 3, 0, 0, 0), (2, 534, 250, 0, 409), (3, 23763, 2624, 0, 22451)],
+        ((12.072344721041501, (48, 29, 88)), (23763, 8808, 0, 19359)),
+    ),
+    13: (
+        ((('a0', 15.5), ('a1', 22.0)), 14.570677778493263),
+        [(1, 4, 0, 0, 0), (2, 1068, 104, 0, 1016), (3, 95052, 160, 0, 94972)],
+        ((14.570677778493263, (62, 88, 88)), (23763, 15056, 0, 16235)),
+    ),
+    14: (
+        ((('a0', 22.0), ('a1', 16.4)), 18.470953563390587),
+        [(1, 3, 0, 0, 0), (2, 1326, 126, 0, 1263), (3, 146523, 0, 0, 146523)],
+        ((16.22796249375969, (194, 138, 220)), (146523, 37674, 0, 127686)),
+    ),
+    15: (
+        ((('a0', 16.4), ('a1', 13.7), ('a2', 18.2)), 15.78206791359759),
+        [(1, 4, 0, 0, 0), (2, 2652, 188, 0, 2558), (3, 586092, 9718, 0, 581233)],
+        ((15.78206791359759, (164, 137, 182)), (146523, 39308, 0, 126869)),
+    ),
+    16: (
+        ((('a0', 17.121490641427368), ('a1', 21.376459734123756)), 13.567396304460464),
+        [(1, 3, 0, 0, 0), (2, 546, 233, 0, 430), (3, 24842, 3313, 0, 23186)],
+        ((13.567396304460464, (69, 87, 59)), (24842, 19910, 0, 14904)),
+    ),
+    17: (
+        ((('a0', 32.28465406935454), ('a2', 19.404132630157257)), 24.358728265790447),
+        [(1, 4, 0, 0, 0), (2, 1095, 104, 0, 1043), (3, 99916, 120, 0, 99856)],
+        ((24.358728265790447, (90, 90, 78)), (24842, 10804, 0, 19440)),
+    ),
+    18: (
+        ((('a0', 19.01942751941317), ('a2', 22.134730735535836)), 15.3207278888584),
+        [(1, 3, 0, 0, 0), (2, 1336, 462, 0, 1105), (3, 148741, 10270, 0, 143606)],
+        ((15.3207278888584, (191, 135, 222)), (148741, 31242, 0, 133120)),
+    ),
+    19: (
+        ((('a0', 19.50065935547536), ('a2', 32.732065608393086)), 31.83130828247589),
+        [(1, 4, 0, 0, 0), (2, 2679, 679, 3, 2352), (3, 598084, 728, 13, 597772)],
+        ((31.83130828247589, (196, 212, 222)), (149186, 224411, 24, 37083)),
+    ),
+    20: (
+        ((('a0', 22.0), ('a2', 13.0)), 6.134338590974227),
+        [(1, 3, 0, 0, 0), (2, 534, 120, 0, 474), (3, 23763, 1950, 0, 22788)],
+        ((6.134338590974227, (88, 70, 52)), (23763, 3102, 0, 22212)),
+    ),
+    21: (
+        ((('a0', 16.5), ('a3', 13.75)), 4.438921486983141),
+        [(1, 4, 0, 0, 0), (2, 1068, 82, 0, 1027), (3, 95052, 5956, 0, 92074)],
+        ((3.4389214869831406, (62, 77, 29)), (23763, 600, 0, 23463)),
+    ),
+    22: (
+        None,
+        [(1, 3, 0, 0, 0), (2, 1326, 80, 0, 1286), (3, 146523, 15652, 0, 138697)],
+        (None, (146523, 0, 0, 146523)),
+    ),
+    23: (
+        ((('a0', 19.4), ('a1', 8.3), ('a2', 15.6)), 15.081703451319692),
+        [(1, 4, 0, 0, 0), (2, 2652, 960, 0, 2172), (3, 586092, 10124, 0, 581030)],
+        ((15.081703451319692, (194, 83, 156)), (146523, 4090, 0, 144478)),
+    ),
+}
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_search_stats_are_pinned_on_random_searches(i):
+    inst, grid, floor = _pinned_search(i)
+    menu, sizes, floored = PINNED_SEARCHES[i]
+    sol, stats = grid_best_contract(inst, grid, stats=True)
+    got = None if sol is None else (
+        tuple((o.alternative.id, o.price) for o in sol.contract.offers), sol.profit
+    )
+    assert got == menu
+    assert [
+        (s.size, s.tuples, s.window_checks, s.fallback_rows, s.pruned) for s in stats.sizes
+    ] == sizes
+    prices = oracle._price_arrays(inst, grid)[:3]
+    alts = inst.alternatives[:3]
+    tally = _kernels.Tally()
+    found = _kernels.search_subset(
+        tuple(x.u for x in alts), tuple(x.v for x in alts), tuple(x.c for x in alts),
+        prices, inst.cost_fn, "bracketed", tally, floor,
+    )
+    assert (found, dataclasses.astuple(tally)) == floored
+
+
 @pytest.mark.parametrize("power", (False, True))
 def test_fallback_rows_are_a_small_share(running, power):
     inst = with_power_cost(running) if power else running
@@ -602,6 +777,97 @@ def test_pruning_bounds_hold_on_their_edges(monkeypatch, case):
         return top(ustar, usub, gap, cost)
 
     monkeypatch.setattr(_kernels, "_top", counted)
+    tally = _kernels.Tally()
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed", tally) == expected
+    assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
+
+
+# Each case puts one row exactly on one end of the intervals ``bracketed``
+# builds per leading index (the first other offer's index; the second one's
+# is the last index), as EDGE_CASES above.  D is the designated offer the
+# comments follow; the other designated offers are pruned untouched unless
+# a comment says otherwise.  The last entry is the block size, when not
+# ROW_BLOCK.
+INTERVAL_EDGE_CASES = {
+    # D at 1 (own 0.25, temptation 2) is as tempting as A and reaches A's
+    # window, not B's.  B at 0.5 is exactly as tempting as A, and the tie
+    # makes A the most tempting: the row is open, and phi(0) = 0 drops it.
+    # B at 0 is more tempting than A, so D must reach B's window: dropped
+    # without phi.  B at 0.75 is open, dropped by phi.  B at 1.5 is kept,
+    # and D sells there.  B needs its top price 1.5, where its one row is
+    # dropped without phi
+    "v_lead_equals_v_last": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.5, 2.5, 0.0, [0.0, 0.5, 0.75, 1.5])],
+        (1.0, (0, 0, 3)), 9, 8, [2, 1], None,
+    ),
+    # D at 1 (own 0.25) reaches A's window, and B's window starts exactly at
+    # 0.25 with B at 0: both rows reach both windows and are kept without
+    # phi.  D sells with B at 0.5
+    "own_on_last_window": (
+        [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.5, 0.0, [0.0]),
+         (_window_from(0.25), 2.25, 0.0, [0.0, 0.5])],
+        (1.0, (0, 0, 1)), 5, 3, [2], None,
+    ),
+    # as above with the two other offers swapped: A's window starts exactly
+    # at 0.25 with A at 0
+    "own_on_lead_window": (
+        [(1.25, 3.0, 0.0, [1.0]), (_window_from(0.25), 2.25, 0.0, [0.0, 0.5]),
+         (0.0, 2.5, 0.0, [0.0])],
+        (1.0, (0, 1, 0)), 5, 3, [2], None,
+    ),
+    # D at 1 (temptation 2, own 0.5) is more tempting than A (v - p = 1) and
+    # exactly as tempting as B at 0, not more; B is then the most tempting
+    # and D is below its 1.2 less the window: dropped without phi.  With B
+    # at 0.5, D is the most tempting: kept, and D sells
+    "temptation_on_v_last": (
+        [(1.5, 3.0, 0.0, [1.0]), (0.25, 1.0, 0.0, [0.0]), (1.2, 2.0, 0.0, [0.0, 0.5])],
+        (1.0, (0, 0, 1)), 5, 4, [1], None,
+    ),
+    # as above with the two other offers swapped: A at 0 is exactly as tempting
+    "temptation_on_v_lead": (
+        [(1.5, 3.0, 0.0, [1.0]), (1.2, 2.0, 0.0, [0.0, 0.5]), (0.25, 1.0, 0.0, [0.0])],
+        (1.0, (0, 1, 0)), 5, 4, [1], None,
+    ),
+    # D at 2 is unaffordable (cap -1, below i_F = 0) and the most tempting
+    # everywhere, so a row is kept exactly where another offer signs: A's
+    # cap is its index 0 (u = p = 1), so its lead index keeps every B, and
+    # at A's index 1 B's cap (index 1, u = p = 1) ends the interval: only
+    # (A, B) = (2, 2) is pruned.  D sells at 2
+    "caps_end_the_rows": (
+        [(1.0, 10.0, 0.0, [2.0]), (1.0, 1.0, 1.0, [1.0, 2.0]),
+         (1.0, 1.0, 0.5, [0.0, 1.0, 2.0])],
+        (2.0, (0, 0, 0)), 11, 6, [5], None,
+    ),
+    # blocks of 4 rows split A's index 1 after B's index 0.  The first block
+    # (i_F = 0, D at 1) keeps all four rows, D the most tempting in each,
+    # and D sells at 2 with A at 0 and B at 1.  The second block then needs
+    # D's index 1 (temptation 1.6, own 0): with A at 1, B at 0.5 is more
+    # tempting and out of reach, pruned; B at 1 is less tempting, kept
+    "block_splits_a_lead_index": (
+        [(2.0, 3.6, 0.0, [1.0, 2.0]), (0.2, 1.0, 0.5, [0.0, 1.0]),
+         (0.6, 2.5, 0.5, [0.0, 0.5, 1.0])],
+        (2.0, (1, 0, 2)), 16, 11, [4, 1], 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INTERVAL_EDGE_CASES)
+def test_interval_ends_hold_on_their_edges(monkeypatch, case):
+    offers, expected, tuples, pruned, phi_rows, block = INTERVAL_EDGE_CASES[case]
+    u, v, c, grids = zip(*offers)
+    prices = [np.array(p) for p in grids]
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
+    seen = []
+    top = _kernels._top
+
+    def counted(ustar, usub, gap, cost):
+        if usub is not None:
+            seen.append(len(ustar))
+        return top(ustar, usub, gap, cost)
+
+    monkeypatch.setattr(_kernels, "_top", counted)
+    if block is not None:
+        monkeypatch.setattr(_kernels, "ROW_BLOCK", block)
     tally = _kernels.Tally()
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed", tally) == expected
     assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
