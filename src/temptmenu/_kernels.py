@@ -84,10 +84,11 @@ lexicographically smallest price-index tuple):
   So per leading index the rows kept without ``phi`` are one interval,
   ending at the block or cap end, and the open rows one interval before
   it.  Both are built for all of a block's leading indices at once with
-  ``repeat`` and ``cumsum``, ``phi`` is evaluated on the open rows only,
-  and ``tuples`` and ``pruned`` count from the interval lengths.  A
-  two-offer subset has one interval per block.  A pruned row is never
-  built.
+  ``repeat`` and ``cumsum``, and ``tuples`` and ``pruned`` count from the
+  interval lengths.  ``phi`` is evaluated once over both sets: the kept
+  rows need ``top`` for the threshold estimate, and the open rows are kept
+  where it decides so.  A two-offer subset has one interval per block and
+  no open rows.  A pruned row is never built.
 
   The blocks and their order are fixed, and ``i_F`` is set per block, so
   ``best`` and every counter change as if each row were tested in full.
@@ -178,7 +179,7 @@ def _window(ud, vd, Pd, uo, vo, cost):
     nd = len(Pd)
 
     def window(idx):
-        pd = Pd[np.clip(idx, 0, nd - 1)]
+        pd = Pd[np.minimum(np.maximum(idx, 0), nd - 1)]
         vs = vd - pd
         big = reduce(np.maximum, vo, vs)
         own = (ud - pd) - cost.phi_array(big - vs)
@@ -248,10 +249,11 @@ def _spans(lead, lo, hi):
     return np.repeat(lead, n), last
 
 
-def _kept(start, stop, own, temptation, afford_only, others, caps, U, V, keys, cost):
-    """Index arrays, one per other offer, of the rows in ``[start, stop)``
-    that reach the designated offer's window bound at ``own, temptation``
-    (module docstring, steps 2 and 3), built interval by interval.
+def _kept(start, stop, own, temptation, afford_only, others, caps, U, V, keys):
+    """The rows in ``[start, stop)`` that the ``phi``-free bounds at
+    ``own, temptation`` keep, and those they leave open (module docstring,
+    steps 2 and 3), each as index arrays, one per other offer, built
+    interval by interval.  With one other offer no row is open: None.
 
     ``keys[t]`` holds ``-V_t`` and ``-(U_t - CHOICE_TIE_TOL)``, both
     non-decreasing, so each end is one ``searchsorted``.  With
@@ -266,7 +268,7 @@ def _kept(start, stop, own, temptation, afford_only, others, caps, U, V, keys, c
     if len(others) == 1:
         lo = max(min(tempt_b, reach_b), start)
         hi = min(stop, caps[b] + 1) if afford_only else stop
-        return (np.arange(lo, max(lo, hi)),)
+        return (np.arange(lo, max(lo, hi)),), None
     a = others[0]
     i0, i1 = start // nb, (stop - 1) // nb + 1
     lead = np.arange(i0, i1)
@@ -287,13 +289,7 @@ def _kept(start, stop, own, temptation, afford_only, others, caps, U, V, keys, c
     # open: d reaches the most tempting one's window but not the other's
     olo = np.where(reaches_a, a_first, reach_b)
     ohi = np.minimum(np.minimum(a_first + reach_b - olo, tempt), bhi)
-    rows = _spans(lead, klo, bhi)
-    ia, ib = _spans(lead, np.maximum(olo, blo), ohi)
-    if ia.size:
-        _, ustar, usub, gap = _rival((U[a][ia], U[b][ib]), (V[a][ia], V[b][ib]))
-        ok = own >= _top(ustar, usub, gap, cost) - CHOICE_TIE_TOL
-        rows = [np.concatenate([r, i[ok]]) for r, i in zip(rows, (ia, ib))]
-    return rows
+    return _spans(lead, klo, bhi), _spans(lead, np.maximum(olo, blo), ohi)
 
 
 def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
@@ -302,7 +298,8 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
 
     A row is pruned, before any window check, when its profit bound falls
     short of ``max(best so far, floor)``; rows that can tie it are kept.
-    Only the kept rows are built, as intervals of the last index.
+    Only the rows the ``phi``-free bounds keep or leave open are built, as
+    intervals of the last index, and ``phi`` is evaluated once per row.
     """
     m = len(prices)
     table = None  # built for the first kept row: many searches keep none
@@ -329,18 +326,32 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
                 tally.pruned += total - start
                 break
             tally.tuples += stop - start
-            pf = Pd[i_f]
-            oidx = _kept(
-                start, stop, u[d] - pf, v[d] - pf, caps[d] < i_f, others, caps, U, V, keys, cost
+            own = u[d] - Pd[i_f]
+            free, open_ = _kept(
+                start, stop, own, v[d] - Pd[i_f], caps[d] < i_f, others, caps, U, V, keys
             )
-            kept = oidx[0].size
-            tally.pruned += stop - start - kept
-            if not kept:
+            nfree = free[0].size
+            oidx = free
+            if open_ and open_[0].size:
+                oidx = [np.concatenate(pair) for pair in zip(free, open_)]
+            if not oidx[0].size:
+                tally.pruned += stop - start
                 continue
             uo = [U[t][i] for t, i in zip(others, oidx)]
             vo = [V[t][i] for t, i in zip(others, oidx)]
             vmax, ustar, usub, gap = _rival(uo, vo)
             top = _top(ustar, usub, gap, cost)
+            if top.size > nfree:
+                # an open row is kept where d reaches the others' best (step 3)
+                keep = np.ones(top.size, dtype=bool)
+                keep[nfree:] = own >= top[nfree:] - CHOICE_TIE_TOL
+                if not keep.all():
+                    oidx, uo, vo = ([x[keep] for x in xs] for xs in (oidx, uo, vo))
+                    vmax, top = vmax[keep], top[keep]
+            kept = oidx[0].size
+            tally.pruned += stop - start - kept
+            if not kept:
+                continue
             afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, oidx)])
             hi = np.where(afford, nd - 1, caps[d])
 
@@ -373,7 +384,7 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
             valid = lo >= 0
             if not valid.any():
                 continue
-            profit = np.where(valid, margins[np.clip(lo, 0, nd - 1)], -np.inf)
+            profit = np.where(valid, margins[np.maximum(lo, 0)], -np.inf)
             local = float(profit.max())
             if local < best:
                 continue

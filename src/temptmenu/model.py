@@ -28,8 +28,7 @@ CHOICE_TIE_TOL = 1e-9
 Optimal menus make the consumer exactly indifferent, so floating-point
 replay needs a tie window; ties are resolved in the seller's favor
 (highest price - cost, then lowest menu position).  It is not a per-call
-option: every choice reads it here, and only ``oracle.verify_solution``
-takes another window for one check.
+option: every choice reads it here, ``oracle.verify_solution``'s included.
 """
 
 
@@ -253,13 +252,13 @@ def overall_utilities(contract: Contract, cost_fn: CostFunction) -> tuple[float,
     )
 
 
-def _pick(contract: Contract, scores: tuple[float, ...], tie_tol: float) -> int:
+def _pick(contract: Contract, scores: tuple[float, ...]) -> int:
     """Index of the winning offer: best score, ties to the seller's favor."""
     best = max(scores)
     pick = -1
     pick_margin = -math.inf
     for i, s in enumerate(scores):
-        if s >= best - tie_tol and contract.offers[i].margin > pick_margin:
+        if s >= best - CHOICE_TIE_TOL and contract.offers[i].margin > pick_margin:
             pick = i
             pick_margin = contract.offers[i].margin
     return pick
@@ -267,14 +266,12 @@ def _pick(contract: Contract, scores: tuple[float, ...], tie_tol: float) -> int:
 
 def perceived_choice(contract: Contract) -> Offer:
     """The offer the naive consumer believes he will pick (max ``u - p``)."""
-    return contract.offers[_pick(contract, perceived_utilities(contract), CHOICE_TIE_TOL)]
+    return contract.offers[_pick(contract, perceived_utilities(contract))]
 
 
 def actual_choice(contract: Contract, cost_fn: CostFunction) -> Offer:
     """The offer actually consumed under the self-control cost."""
-    return contract.offers[
-        _pick(contract, overall_utilities(contract, cost_fn), CHOICE_TIE_TOL)
-    ]
+    return contract.offers[_pick(contract, overall_utilities(contract, cost_fn))]
 
 
 def accepts(contract: Contract) -> bool:
@@ -303,7 +300,7 @@ def realized_outcome(contract: Contract, cost_fn: CostFunction) -> Outcome:
     if not accepts(contract):
         return Outcome(0.0, 0.0, None)
     scores = overall_utilities(contract, cost_fn)
-    i = _pick(contract, scores, CHOICE_TIE_TOL)
+    i = _pick(contract, scores)
     return Outcome(contract.offers[i].margin, scores[i], contract.offers[i])
 
 

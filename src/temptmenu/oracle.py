@@ -25,9 +25,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .model import (
-    CHOICE_TIE_TOL,
+    _KIND_SIZE,
     Contract,
-    ContractKind,
     Offer,
     ProblemInstance,
     _pick,
@@ -49,11 +48,8 @@ MAX_GRID_POINTS = 10_000
 OVERSIZE_WORK_LIMIT = 20_000_000
 """Guard of ``oversize_menu_search``: price tuples in any one subset."""
 
-_SIZE_KIND = {
-    1: ContractKind.COMMITMENT,
-    2: ContractKind.INDULGING,
-    3: ContractKind.COMPROMISING,
-}
+_SIZE_KIND = {size: kind for kind, size in _KIND_SIZE.items()}
+
 
 class GridTooLarge(ValueError):
     """The requested price grid exceeds the desk-scale guard."""
@@ -314,37 +310,21 @@ class VerificationReport:
         return f"verification: {verdict}\n" + "\n".join(lines)
 
 
-def verify_solution(
-    sol: Solution,
-    inst: ProblemInstance,
-    *,
-    choice_slack: float = 1e-8,
-    epsilon_discount: float = 0.0,
-    tie_tol: float = CHOICE_TIE_TOL,
-) -> VerificationReport:
+def verify_solution(sol: Solution, inst: ProblemInstance) -> VerificationReport:
     """Replay a solution's menu and check every claim it makes.
 
-    The menu is replayed once: its perceived and overall utilities are
-    computed one time and every check reads them.  ``choice_slack`` is how
-    far the intended offer may trail the consumption-time best, and
-    ``tie_tol`` the tie window of the ``intended_chosen`` pick (the model's
-    ``CHOICE_TIE_TOL`` by default).  ``epsilon_discount`` shaves the
-    intended offer's price before the replay; with a strictly positive
-    discount the intended offer must be chosen outright, without leaning on
-    the seller-favorable tie-break.  The other bounds (participation,
-    profit, welfare, residuals) are fixed in the body, not per call.
+    The menu is replayed as given, once: its perceived and overall
+    utilities are computed one time and every check reads them.  The
+    ``intended_chosen`` pick reads the model's one tie window,
+    ``CHOICE_TIE_TOL``.  The bounds are fixed: participation and how far
+    the intended offer may trail the consumption-time best, 1e-8; profit
+    and welfare, 1e-9; residuals, ``PRICE_TOL``.
     """
-    eps = epsilon_discount
-    offers = list(sol.contract.offers)
-    intended = sol.contract.intended
-    if eps:
-        o = offers[intended]
-        offers[intended] = Offer(o.alternative, o.price - eps)
-    contract = Contract(tuple(offers), intended, sol.contract.kind)
-
+    contract = sol.contract
+    intended = contract.intended
     perceived = perceived_utilities(contract)
     overall = overall_utilities(contract, inst.cost_fn)
-    chosen = contract.offers[_pick(contract, overall, tie_tol)]
+    chosen = contract.offers[_pick(contract, overall)]
     checks = []
 
     checks.append(
@@ -362,7 +342,7 @@ def verify_solution(
     checks.append(
         CheckResult(
             "intended_not_dominated",
-            gap >= -choice_slack,
+            gap >= -1e-8,
             gap,
             "intended offer's utility gap to the consumption-time best",
         )
@@ -379,15 +359,14 @@ def verify_solution(
     checks.append(
         CheckResult(
             "profit_consistent",
-            abs(margin - (sol.profit - eps)) <= 1e-9,
+            abs(margin - sol.profit) <= 1e-9,
             margin,
         )
     )
-    welfare_tol = 1e-9 + 10.0 * eps
     checks.append(
         CheckResult(
             "welfare_consistent",
-            abs(overall[intended] - sol.welfare) <= welfare_tol,
+            abs(overall[intended] - sol.welfare) <= 1e-9,
             overall[intended],
         )
     )

@@ -229,6 +229,23 @@ def test_actual_choice_optimal_menu_all_indifferent():
     assert actual_choice(menu, PW).alternative.id == "B"
 
 
+def test_shaving_the_intended_price_breaks_the_knife_edge():
+    # the worked optimum sells B only on the seller-favorable tie-break;
+    # 1e-9 off B's price makes B the strict best, no tie-break needed
+    inst = running_instance()
+    menu = optimal_contract(inst).contract
+    i = menu.intended
+    scores = overall_utilities(menu, inst.cost_fn)
+    rivals = [s for j, s in enumerate(scores) if j != i]
+    assert scores[i] == max(scores) and max(rivals) >= scores[i] - model.CHOICE_TIE_TOL
+    offers = list(menu.offers)
+    offers[i] = Offer(offers[i].alternative, offers[i].price - 1e-9)
+    shaved = Contract(tuple(offers), i, menu.kind)
+    scores = overall_utilities(shaved, inst.cost_fn)
+    assert scores[i] > max(s for j, s in enumerate(scores) if j != i)
+    assert actual_choice(shaved, inst.cost_fn) is shaved.offers[i]
+
+
 def test_actual_choice_tempted_away():
     menu = Contract((Offer(A, 10.0), Offer(C, 2.0)), 0, ContractKind.INDULGING)
     scores = overall_utilities(menu, PW)

@@ -32,7 +32,7 @@ from temptmenu import (
     realized_outcome,
     verify_solution,
 )
-from temptmenu import _kernels, oracle
+from temptmenu import _kernels, model, oracle
 from helpers import (
     QuadraticCost,
     near_tie_instance,
@@ -228,9 +228,7 @@ def test_oracle_never_beats_analytic_on_random_instances():
         sol = grid_best_contract(inst, grid)
         assert sol is not None
         assert analytic.profit - 1e-9 <= sol.profit <= analytic.profit + 1e-9
-        replay = verify_solution(
-            dataclasses.replace(sol, residuals=()), inst, choice_slack=1e-7
-        )
+        replay = verify_solution(dataclasses.replace(sol, residuals=()), inst)
         assert replay.passed, replay.summary()
 
 
@@ -688,9 +686,9 @@ def _window_from(x):
 # step.  Offers are (u, v, c, prices) and every c is 0, so margins are
 # prices.  The designated offers run in order, so a later one only keeps
 # rows that can reach the profit an earlier one found; one whose margins
-# all fall short has every row pruned untouched.  ``phi_rows`` lists the
-# rows of each block on which the search needs phi with two other offers:
-# first the rows the phi-free bounds leave open, if any, then the kept rows.
+# all fall short has every row pruned untouched.  ``phi_rows`` lists, per
+# block that has any, the rows on which the search evaluates phi with two
+# other offers: the rows the phi-free bounds keep or leave open, once each.
 EDGE_CASES = {
     # D at 1 is as tempting as A (v - p = 2), so only its utility 0.25 can
     # keep the row: exactly A's 0.25 + tol less the window, kept, and sold.
@@ -710,7 +708,7 @@ EDGE_CASES = {
     "own_on_top": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]),
          (_window_from(0.25) + 0.125, 1.75, 0.0, [0.0])],
-        (1.0, (0, 0, 0)), 3, 2, [1, 1],
+        (1.0, (0, 0, 0)), 3, 2, [1],
     ),
     # D at 1 is exactly as tempting as A, not more, and its 0.5 is below
     # A's 1: pruned.  A at 0 is kept and sells for 0; B at 0 is below D's
@@ -733,7 +731,7 @@ EDGE_CASES = {
     # below D's 0.25, D and A again equally tempting: pruned
     "equally_tempting": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.0, 2.0, 0.0, [0.0, 1.0])],
-        (1.0, (0, 0, 1)), 5, 4, [1, 1],
+        (1.0, (0, 0, 1)), 5, 4, [2],
     ),
     # X sells at 1 with Y at 1 (a tie, v - p = 0 each); Y at 0 beats X at 1:
     # pruned.  Then Y's top margin equals that best (i_F = nd - 1): both of
@@ -757,7 +755,7 @@ EDGE_CASES = {
     "others_on_their_caps": (
         [(1.0, 10.0, 0.0, [2.0]), (1.0, 1.0, 0.0, [0.0, 1.0, 2.0]),
          (1.0, 1.0, 0.0, [0.0, 1.0, 2.0])],
-        (2.0, (0, 0, 0)), 15, 3, [8, 2, 2, 2, 2],
+        (2.0, (0, 0, 0)), 15, 3, [8, 2, 2],
     ),
 }
 
@@ -798,7 +796,7 @@ INTERVAL_EDGE_CASES = {
     # dropped without phi
     "v_lead_equals_v_last": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.5, 2.5, 0.0, [0.0, 0.5, 0.75, 1.5])],
-        (1.0, (0, 0, 3)), 9, 8, [2, 1], None,
+        (1.0, (0, 0, 3)), 9, 8, [3], None,
     ),
     # D at 1 (own 0.25) reaches A's window, and B's window starts exactly at
     # 0.25 with B at 0: both rows reach both windows and are kept without
@@ -990,9 +988,9 @@ def test_grid_search_replays_the_near_tie_menu(mode, analytic):
         assert sol.profit == analytic_profit
 
 
-def test_verify_solution_takes_only_its_three_tolerances():
-    params = inspect.signature(verify_solution).parameters
-    assert list(params) == ["sol", "inst", "choice_slack", "epsilon_discount", "tie_tol"]
+def test_verify_solution_takes_no_tolerance():
+    assert list(inspect.signature(verify_solution).parameters) == ["sol", "inst"]
+    assert list(inspect.signature(model._pick).parameters) == ["contract", "scores"]
 
 
 # -- solution replay ----------------------------------------------------------------
@@ -1024,15 +1022,6 @@ def test_verify_commitment_trivially(running):
 
     report = verify_solution(commitment_contract(running.alternatives[0]), running)
     assert report.passed
-
-
-def test_verify_epsilon_discount_breaks_knife_edge(running):
-    sol = optimal_contract(running)
-    report = verify_solution(sol, running, epsilon_discount=1e-9)
-    assert report.passed
-    # with the discount the intended offer wins outright
-    report_strict = verify_solution(sol, running, epsilon_discount=1e-9, tie_tol=0.0)
-    assert any(c.name == "intended_chosen" and c.passed for c in report_strict.checks)
 
 
 def test_verify_rejects_wrong_profit_claim(running):
