@@ -23,11 +23,12 @@ lexicographically smallest price-index tuple):
   guides; the window test decides every index, so the result is exact
   and identical to bisecting every row.
 
-  Before any window check, a row is pruned when it cannot reach
-  ``F = max(best so far, floor)``, ``floor`` being the best profit of the
-  subsets searched before.  Let ``i_F`` be the lowest index whose profit
-  reaches ``F`` and ``p = Pd[i_F]``.  Each block of rows is tested in
-  three steps, the cheapest first:
+  Before its threshold is estimated, a row is dropped when it cannot
+  reach ``F = max(best so far, floor)``, ``floor`` being the best profit
+  of the subsets searched before.  Let ``i_F`` be the lowest index whose
+  profit reaches ``F`` and ``p = Pd[i_F]``.  Each block of rows is tested
+  in four steps, the cheapest first, the first three without a window
+  check:
 
   1. If ``i_F == nd``, no designated price reaches ``F``.  As ``F`` only
      rises, the block and every later block of the designated offer are
@@ -55,6 +56,16 @@ lexicographically smallest price-index tuple):
      reaches both others' ``u_t - CHOICE_TIE_TOL``; it is open where it
      reaches the most tempting one's but not the other's, and ``phi``
      decides it; it is dropped elsewhere.
+  4. The rows steps 2 and 3 keep get one window check, at ``i_F``.  The
+     window holds on a prefix of the indices, so it fails at ``i_F``
+     exactly when the highest index whose window holds is below ``i_F``
+     (step 2 puts the row's highest allowed index at or above ``i_F``).
+     The row's profit is then below ``F``: it can neither win nor tie,
+     and it is dropped before its threshold is estimated.  Every row left
+     sells at ``i_F`` or above, so its bisection, if any, starts at
+     ``i_F``.  Most rows steps 2 and 3 keep fail here: on the worked
+     instance, bare grid over ``[0, 20]`` at step 0.01, 11.5k of the 858k
+     three-offer rows they keep reach ``F``.
 
   Steps 2 and 3 never look at a row one by one.  ``U_t = u_t - P_t`` and
   ``V_t = v_t - P_t`` fall with the index, also in IEEE arithmetic, and so
@@ -88,7 +99,8 @@ lexicographically smallest price-index tuple):
   interval lengths.  ``phi`` is evaluated once over both sets: the kept
   rows need ``top`` for the threshold estimate, and the open rows are kept
   where it decides so.  A two-offer subset has one interval per block and
-  no open rows.  A pruned row is never built.
+  no open rows.  A pruned row is never built.  ``pruned`` counts the rows
+  steps 1-3 drop; a row step 4 drops counts one window check.
 
   The blocks and their order are fixed, and ``i_F`` is set per block, so
   ``best`` and every counter change as if each row were tested in full.
@@ -225,9 +237,10 @@ def _threshold(ud, vd, uo, vo, vmax, top, table):
     return np.where(below < s, below, above)
 
 
-def _bisect(window, hi, tally):
-    """Largest index in ``[-1, hi]`` whose window holds, by bisection per row."""
-    lo = np.full(hi.shape, -1, dtype=np.int64)
+def _bisect(window, start, hi, tally):
+    """Largest index in ``[start, hi]`` whose window holds, by bisection per
+    row; the window holds at ``start``."""
+    lo = np.full(hi.shape, start, dtype=np.int64)
     hi2 = (hi + 1).astype(np.int64)
     while True:
         open_ = (hi2 - lo) > 1
@@ -300,6 +313,8 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
     short of ``max(best so far, floor)``; rows that can tie it are kept.
     Only the rows the ``phi``-free bounds keep or leave open are built, as
     intervals of the last index, and ``phi`` is evaluated once per row.
+    A kept row whose window fails at ``i_F`` is dropped before its
+    threshold is estimated.
     """
     m = len(prices)
     table = None  # built for the first kept row: many searches keep none
@@ -352,15 +367,26 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
             tally.pruned += stop - start - kept
             if not kept:
                 continue
+            # the window holds on a prefix, so a row where it fails at i_f
+            # sells below i_f and cannot reach F (step 4)
+            window = _window(u[d], v[d], Pd, uo, vo, cost)
+            reach = window(i_f)
+            tally.window_checks += kept
+            if not reach.all():
+                oidx, uo, vo = ([x[reach] for x in xs] for xs in (oidx, uo, vo))
+                vmax, top = vmax[reach], top[reach]
+                kept = oidx[0].size
+                if not kept:
+                    continue
+                window = _window(u[d], v[d], Pd, uo, vo, cost)
             afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, oidx)])
             hi = np.where(afford, nd - 1, caps[d])
 
             if table is None:
                 table = psi_table(prices, v, cost)
-            window = _window(u[d], v[d], Pd, uo, vo, cost)
             est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
             lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
-            holds = np.isfinite(est) & ((lo < 0) | window(lo))
+            holds = np.isfinite(est) & window(lo)
             holds_up = (lo < hi) & window(lo + 1)
             tally.window_checks += 2 * kept
             hit = holds & ~holds_up
@@ -380,14 +406,10 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
                 sub = _window(
                     u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost
                 )
-                lo[miss] = _bisect(sub, hi[miss], tally)
-            valid = lo >= 0
-            if not valid.any():
-                continue
-            profit = np.where(valid, margins[np.maximum(lo, 0)], -np.inf)
+                lo[miss] = _bisect(sub, i_f, hi[miss], tally)
+            # every row reaches i_f, so its profit reaches F and best
+            profit = margins[lo]
             local = float(profit.max())
-            if local < best:
-                continue
             cand = profit == local
             tup = np.empty((m, int(np.count_nonzero(cand))), dtype=np.int64)
             # adjacent prices can round to the same margin: the tie order

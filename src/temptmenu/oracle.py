@@ -45,9 +45,6 @@ if TYPE_CHECKING:
 MAX_GRID_POINTS = 10_000
 """Desk-scale guard: base grid points per alternative."""
 
-OVERSIZE_WORK_LIMIT = 20_000_000
-"""Guard of ``oversize_menu_search``: price tuples in any one subset."""
-
 _SIZE_KIND = {size: kind for kind, size in _KIND_SIZE.items()}
 
 
@@ -135,10 +132,12 @@ class SizeStats:
     lookup).  ``pruned`` counts the bracketed rows dropped before any window
     check because their profit bound is below the best profit found so far,
     in this subset or an earlier one.  ``window_checks`` counts per-row
-    tie-window evaluations: two per row that is not pruned, to confirm the
-    threshold estimate, one more per row whose estimate was one index low,
-    to confirm the next index, plus one per bisection pass over the
-    ``fallback_rows``, the rows where neither was confirmed.
+    tie-window evaluations: one per row that is not pruned, at the lowest
+    index whose profit reaches that best; then, on each row whose window
+    holds there (a row that reaches it), two to confirm the threshold
+    estimate, one more where the estimate was one index low, to confirm
+    the next index, plus one per bisection pass over the
+    ``fallback_rows``, the rows that reach it where neither was confirmed.
     """
 
     size: int
@@ -246,35 +245,6 @@ def _replay_best(inst, prices, best) -> Solution | None:
         Contract(offers, intended, kind), outcome.profit, outcome.welfare,
         outcome.chosen.alternative, kind, (),
     )
-
-
-def oversize_menu_search(
-    inst: ProblemInstance,
-    grid: GridSpec,
-    menu_size: int = 4,
-) -> float:
-    """Diagnostic: best profit over menus of exactly ``menu_size`` offers.
-
-    Supports sizes beyond the three-offer cap on tiny grids, to check
-    empirically that a fourth offer adds nothing.  Returns the best
-    profit (0.0 when every such menu is rejected); menus themselves are
-    not reported.  Raises ``GridTooLarge`` when a subset holds more than
-    ``OVERSIZE_WORK_LIMIT`` price tuples.
-    """
-    from . import _kernels
-    if menu_size < 2 or menu_size > len(inst.alternatives):
-        raise ValueError(f"menu_size {menu_size} not supported for this instance")
-    prices = _price_arrays(inst, grid)
-    for subset in combinations(range(len(inst.alternatives)), menu_size):
-        work = math.prod(len(prices[i]) for i in subset)
-        if work > OVERSIZE_WORK_LIMIT:
-            raise GridTooLarge(
-                f"{work} price tuples for subset {subset}; shrink the grid"
-            )
-    sizes = range(menu_size, menu_size + 1)
-    tallies = {menu_size: _kernels.Tally()}
-    best = _best_over_subsets(inst, prices, sizes, "exhaustive", tallies)
-    return 0.0 if best is None else max(best[0], 0.0)
 
 
 # -- solution replay ---------------------------------------------------------

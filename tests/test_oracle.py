@@ -26,7 +26,6 @@ from temptmenu import (
     grid_best_contract,
     indulging_contract,
     optimal_contract,
-    oversize_menu_search,
     accepts,
     best_contract_for,
     realized_outcome,
@@ -36,6 +35,7 @@ from temptmenu import _kernels, model, oracle
 from helpers import (
     QuadraticCost,
     near_tie_instance,
+    oversize_menu_search,
     random_pw_instance,
     running_instance,
     with_power_cost,
@@ -357,7 +357,6 @@ def test_search_stats_count_rows_by_hand(running):
     # offer designated over the other's 3 prices; size 3: three designated
     # offers over 3 * 3 tuples of the other two
     assert [(s.size, s.tuples) for s in stats.sizes] == [(1, 3), (2, 18), (3, 27)]
-    assert stats.sizes[0].window_checks == stats.sizes[0].fallback_rows == 0
     # A alone at 10 earns 5, the largest margin on this grid (c = 5 for
     # all), so every later row is pruned unless its window can hold at the
     # designated price 10: d's own utility there, u_d - 10, must reach the
@@ -368,9 +367,15 @@ def test_search_stats_count_rows_by_hand(running):
     # size 3 - A 2 (B, C at (10,5), (10,10)), B 3 ((5,5), (10,5), (10,10)),
     # C 2 ((5,10), (10,10), the two rows where C is the most tempting)
     assert [s.pruned for s in stats.sizes] == [0, 18 - 6, 27 - 7]
-    for s in stats.sizes[1:]:
-        assert s.fallback_rows <= s.tuples - s.pruned
-        assert s.window_checks >= 2 * (s.tuples - s.pruned)
+    # each kept row is then tested once at the designated price 10, and its
+    # window holds there on three: B with A at 10 (B's overall utility -2
+    # against A's -6.5), C with A at 10 (-8 against -10.5) and B with A and
+    # C at 10 (-4.5 against -10.5 and -8).  Each of these three rows has its
+    # estimate confirmed by two checks, and none is bisected: 6 + 2 * 2 and
+    # 7 + 2 * 1 window checks
+    assert [(s.window_checks, s.fallback_rows) for s in stats.sizes] == [
+        (0, 0), (6 + 2 * 2, 0), (7 + 2 * 1, 0)
+    ]
     _, ex = grid_best_contract(running, grid, mode="exhaustive", stats=True)
     assert ex.mode == "exhaustive"
     assert [
@@ -381,8 +386,8 @@ def test_search_stats_count_rows_by_hand(running):
 @pytest.mark.parametrize(
     "power, sizes",
     [
-        (False, [(1, 3, 0, 0, 0), (2, 2408, 822, 0, 1997), (3, 483205, 69349, 0, 448541)]),
-        (True, [(1, 3, 0, 0, 0), (2, 2410, 885, 0, 2008), (3, 484008, 47421, 0, 460378)]),
+        (False, [(1, 3, 0, 0, 0), (2, 2408, 815, 0, 1997), (3, 483205, 36145, 0, 448541)]),
+        (True, [(1, 3, 0, 0, 0), (2, 2410, 839, 0, 2008), (3, 484008, 23843, 0, 460378)]),
     ],
     ids=["piecewise", "power"],
 )
@@ -426,126 +431,126 @@ def _pinned_search(i):
 PINNED_SEARCHES = {
     0: (
         ((('a1', 18.517386896334074), ('a2', 18.549509924269056)), 12.316201567792646),
-        [(1, 3, 0, 0, 0), (2, 546, 280, 0, 406), (3, 24842, 5124, 0, 22280)],
-        ((12.316201567792646, (53, 75, 76)), (24842, 21646, 0, 14019)),
+        [(1, 3, 0, 0, 0), (2, 546, 276, 0, 406), (3, 24842, 2640, 0, 22280)],
+        ((12.316201567792646, (53, 75, 76)), (24842, 15405, 0, 14019)),
     ),
     1: (
         ((('a1', 28.544873534341676), ('a3', 12.890180174994308)), 21.671951810783902),
-        [(1, 4, 0, 0, 0), (2, 1095, 280, 0, 955), (3, 99916, 360, 0, 99736)],
-        ((14.627078276442226, (72, 87, 66)), (25208, 15896, 0, 17260)),
+        [(1, 4, 0, 0, 0), (2, 1095, 196, 0, 955), (3, 99916, 184, 0, 99736)],
+        ((14.627078276442226, (72, 87, 66)), (25208, 12872, 0, 17260)),
     ),
     2: (
         ((('a0', 18.482610535973166), ('a1', 18.036785813379748), ('a2', 19.48706466071273)),
          13.518659694407129),
-        [(1, 3, 0, 0, 0), (2, 1338, 788, 0, 945), (3, 149186, 1189, 0, 148592)],
-        ((13.518659694407129, (185, 182, 197)), (149186, 12369, 0, 143002)),
+        [(1, 3, 0, 0, 0), (2, 1338, 707, 0, 945), (3, 149186, 767, 0, 148592)],
+        ((13.518659694407129, (185, 182, 197)), (149186, 14243, 0, 143002)),
     ),
     3: (
         ((('a0', 21.418715840749876), ('a1', 27.089414817197333), ('a3', 15.532442890948177)),
          21.36329224064983),
-        [(1, 4, 0, 0, 0), (2, 2679, 802, 0, 2278), (3, 598084, 19457, 0, 588356)],
-        ((17.309045401770977, (175, 222, 108)), (150080, 15600, 0, 142280)),
+        [(1, 4, 0, 0, 0), (2, 2679, 635, 0, 2278), (3, 598084, 12049, 0, 588356)],
+        ((17.309045401770977, (175, 222, 108)), (150080, 16056, 0, 142280)),
     ),
     4: (
         ((('a0', 16.0), ('a1', 14.75)), 12.856182152724546),
-        [(1, 3, 0, 0, 0), (2, 534, 66, 0, 501), (3, 23763, 2910, 0, 22308)],
-        ((9.869890295636274, (24, 23, 88)), (23763, 20820, 0, 13353)),
+        [(1, 3, 0, 0, 0), (2, 534, 91, 0, 501), (3, 23763, 1455, 0, 22308)],
+        ((9.869890295636274, (24, 23, 88)), (23763, 19926, 0, 13353)),
     ),
     5: (
         ((('a2', 17.25), ('a3', 22.0)), 17.73431007121055),
-        [(1, 4, 0, 0, 0), (2, 1068, 288, 0, 924), (3, 95052, 3586, 0, 93259)],
-        ((13.399411784015996, (50, 88, 57)), (23763, 16540, 0, 15493)),
+        [(1, 4, 0, 0, 0), (2, 1068, 352, 0, 924), (3, 95052, 2301, 0, 93259)],
+        ((13.399411784015996, (50, 88, 57)), (23763, 23400, 0, 15493)),
     ),
     6: (
         ((('a0', 18.0),), 12.381386018051527),
-        [(1, 3, 0, 0, 0), (2, 1326, 878, 0, 887), (3, 146523, 74280, 0, 109383)],
-        ((12.381386018051527, (180, 134, 162)), (146523, 96146, 0, 98450)),
+        [(1, 3, 0, 0, 0), (2, 1326, 745, 0, 887), (3, 146523, 48498, 0, 109383)],
+        ((12.381386018051527, (180, 134, 162)), (146523, 73895, 0, 98450)),
     ),
     7: (
         ((('a0', 17.7), ('a1', 19.5), ('a2', 16.8)), 15.868877914529122),
-        [(1, 4, 0, 0, 0), (2, 2652, 46, 0, 2629), (3, 586092, 1288, 0, 585448)],
-        ((15.868877914529122, (177, 195, 168)), (146523, 29140, 0, 131953)),
+        [(1, 4, 0, 0, 0), (2, 2652, 47, 0, 2629), (3, 586092, 804, 0, 585448)],
+        ((15.868877914529122, (177, 195, 168)), (146523, 38272, 0, 131953)),
     ),
     8: (
         ((('a0', 8.786495177826389), ('a1', 19.28273371733146)), 18.11484751674744),
-        [(1, 3, 0, 0, 0), (2, 546, 74, 0, 509), (3, 24842, 240, 0, 24722)],
-        ((18.11484751674744, (36, 79, 73)), (24842, 12790, 0, 18447)),
+        [(1, 3, 0, 0, 0), (2, 546, 103, 0, 509), (3, 24842, 158, 0, 24722)],
+        ((18.11484751674744, (36, 79, 73)), (24842, 17711, 0, 18447)),
     ),
     9: (
         ((('a1', 16.786818440797422), ('a2', 16.6656113243111), ('a3', 17.469216714455413)),
          15.674435108588213),
-        [(1, 4, 0, 0, 0), (2, 1095, 334, 0, 928), (3, 99916, 4436, 0, 97698)],
-        ((15.387616667790791, (58, 68, 67)), (25024, 11184, 0, 19432)),
+        [(1, 4, 0, 0, 0), (2, 1095, 359, 0, 928), (3, 99916, 2234, 0, 97698)],
+        ((15.387616667790791, (58, 68, 67)), (25024, 11568, 0, 19432)),
     ),
     10: (
         ((('a0', 17.4029169115322), ('a2', 29.044049022439378)), 11.726550121639661),
-        [(1, 3, 0, 0, 0), (2, 1338, 882, 0, 898), (3, 149186, 18726, 0, 139823)],
-        ((11.726550121639661, (175, 186, 222)), (149186, 107378, 0, 95516)),
+        [(1, 3, 0, 0, 0), (2, 1338, 548, 0, 898), (3, 149186, 9439, 0, 139823)],
+        ((11.726550121639661, (175, 186, 222)), (149186, 53972, 0, 95516)),
     ),
     11: (
         ((('a0', 10.361902017758325), ('a3', 16.795690561948653)), 9.509729756415481),
-        [(1, 4, 0, 0, 0), (2, 2679, 438, 0, 2460), (3, 598084, 73151, 0, 561509)],
-        ((8.030921419479297, (104, 148, 111)), (149632, 44525, 0, 127463)),
+        [(1, 4, 0, 0, 0), (2, 2679, 507, 0, 2460), (3, 598084, 36929, 0, 561509)],
+        ((8.030921419479297, (104, 148, 111)), (149632, 59078, 0, 127463)),
     ),
     12: (
         ((('a0', 14.25), ('a2', 22.0)), 12.072344721041501),
-        [(1, 3, 0, 0, 0), (2, 534, 250, 0, 409), (3, 23763, 2624, 0, 22451)],
-        ((12.072344721041501, (48, 29, 88)), (23763, 8808, 0, 19359)),
+        [(1, 3, 0, 0, 0), (2, 534, 235, 0, 409), (3, 23763, 1610, 0, 22451)],
+        ((12.072344721041501, (48, 29, 88)), (23763, 7224, 0, 19359)),
     ),
     13: (
         ((('a0', 15.5), ('a1', 22.0)), 14.570677778493263),
-        [(1, 4, 0, 0, 0), (2, 1068, 104, 0, 1016), (3, 95052, 160, 0, 94972)],
-        ((14.570677778493263, (62, 88, 88)), (23763, 15056, 0, 16235)),
+        [(1, 4, 0, 0, 0), (2, 1068, 148, 0, 1016), (3, 95052, 104, 0, 94972)],
+        ((14.570677778493263, (62, 88, 88)), (23763, 13358, 0, 16235)),
     ),
     14: (
         ((('a0', 22.0), ('a1', 16.4)), 18.470953563390587),
-        [(1, 3, 0, 0, 0), (2, 1326, 126, 0, 1263), (3, 146523, 0, 0, 146523)],
-        ((16.22796249375969, (194, 138, 220)), (146523, 37674, 0, 127686)),
+        [(1, 3, 0, 0, 0), (2, 1326, 169, 0, 1263), (3, 146523, 0, 0, 146523)],
+        ((16.22796249375969, (194, 138, 220)), (146523, 50945, 0, 127686)),
     ),
     15: (
         ((('a0', 16.4), ('a1', 13.7), ('a2', 18.2)), 15.78206791359759),
-        [(1, 4, 0, 0, 0), (2, 2652, 188, 0, 2558), (3, 586092, 9718, 0, 581233)],
-        ((15.78206791359759, (164, 137, 182)), (146523, 39308, 0, 126869)),
+        [(1, 4, 0, 0, 0), (2, 2652, 172, 0, 2558), (3, 586092, 5909, 0, 581233)],
+        ((15.78206791359759, (164, 137, 182)), (146523, 45140, 0, 126869)),
     ),
     16: (
         ((('a0', 17.121490641427368), ('a1', 21.376459734123756)), 13.567396304460464),
-        [(1, 3, 0, 0, 0), (2, 546, 233, 0, 430), (3, 24842, 3313, 0, 23186)],
-        ((13.567396304460464, (69, 87, 59)), (24842, 19910, 0, 14904)),
+        [(1, 3, 0, 0, 0), (2, 546, 131, 0, 430), (3, 24842, 1722, 0, 23186)],
+        ((13.567396304460464, (69, 87, 59)), (24842, 18533, 0, 14904)),
     ),
     17: (
         ((('a0', 32.28465406935454), ('a2', 19.404132630157257)), 24.358728265790447),
-        [(1, 4, 0, 0, 0), (2, 1095, 104, 0, 1043), (3, 99916, 120, 0, 99856)],
-        ((24.358728265790447, (90, 90, 78)), (24842, 10804, 0, 19440)),
+        [(1, 4, 0, 0, 0), (2, 1095, 146, 0, 1043), (3, 99916, 66, 0, 99856)],
+        ((24.358728265790447, (90, 90, 78)), (24842, 14922, 0, 19440)),
     ),
     18: (
         ((('a0', 19.01942751941317), ('a2', 22.134730735535836)), 15.3207278888584),
-        [(1, 3, 0, 0, 0), (2, 1336, 462, 0, 1105), (3, 148741, 10270, 0, 143606)],
-        ((15.3207278888584, (191, 135, 222)), (148741, 31242, 0, 133120)),
+        [(1, 3, 0, 0, 0), (2, 1336, 439, 0, 1105), (3, 148741, 5311, 0, 143606)],
+        ((15.3207278888584, (191, 135, 222)), (148741, 24569, 0, 133120)),
     ),
     19: (
         ((('a0', 19.50065935547536), ('a2', 32.732065608393086)), 31.83130828247589),
-        [(1, 4, 0, 0, 0), (2, 2679, 679, 3, 2352), (3, 598084, 728, 13, 597772)],
-        ((31.83130828247589, (196, 212, 222)), (149186, 224411, 24, 37083)),
+        [(1, 4, 0, 0, 0), (2, 2679, 849, 3, 2352), (3, 598084, 338, 0, 597772)],
+        ((31.83130828247589, (196, 212, 222)), (149186, 178144, 24, 37083)),
     ),
     20: (
         ((('a0', 22.0), ('a2', 13.0)), 6.134338590974227),
-        [(1, 3, 0, 0, 0), (2, 534, 120, 0, 474), (3, 23763, 1950, 0, 22788)],
-        ((6.134338590974227, (88, 70, 52)), (23763, 3102, 0, 22212)),
+        [(1, 3, 0, 0, 0), (2, 534, 148, 0, 474), (3, 23763, 1849, 0, 22788)],
+        ((6.134338590974227, (88, 70, 52)), (23763, 3225, 0, 22212)),
     ),
     21: (
         ((('a0', 16.5), ('a3', 13.75)), 4.438921486983141),
-        [(1, 4, 0, 0, 0), (2, 1068, 82, 0, 1027), (3, 95052, 5956, 0, 92074)],
-        ((3.4389214869831406, (62, 77, 29)), (23763, 600, 0, 23463)),
+        [(1, 4, 0, 0, 0), (2, 1068, 53, 0, 1027), (3, 95052, 3146, 0, 92074)],
+        (None, (23763, 300, 0, 23463)),
     ),
     22: (
         None,
-        [(1, 3, 0, 0, 0), (2, 1326, 80, 0, 1286), (3, 146523, 15652, 0, 138697)],
+        [(1, 3, 0, 0, 0), (2, 1326, 96, 0, 1286), (3, 146523, 8096, 0, 138697)],
         (None, (146523, 0, 0, 146523)),
     ),
     23: (
         ((('a0', 19.4), ('a1', 8.3), ('a2', 15.6)), 15.081703451319692),
-        [(1, 4, 0, 0, 0), (2, 2652, 960, 0, 2172), (3, 586092, 10124, 0, 581030)],
-        ((15.081703451319692, (194, 83, 156)), (146523, 4090, 0, 144478)),
+        [(1, 4, 0, 0, 0), (2, 2652, 1100, 0, 2172), (3, 586092, 5076, 0, 581030)],
+        ((15.081703451319692, (194, 83, 156)), (146523, 2051, 0, 144478)),
     ),
 }
 
@@ -871,6 +876,57 @@ def test_interval_ends_hold_on_their_edges(monkeypatch, case):
     assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
 
 
+def _count_threshold_rows(monkeypatch):
+    """Wrap ``_kernels._threshold``; returns the list it fills with
+    ``(menu size, rows estimated)`` per call."""
+    seen = []
+    threshold = _kernels._threshold
+
+    def counted(ud, vd, uo, *rest):
+        est = threshold(ud, vd, uo, *rest)
+        seen.append((len(uo) + 1, est.size))
+        return est
+
+    monkeypatch.setattr(_kernels, "_threshold", counted)
+    return seen
+
+
+# Each case puts the one row of the second designated offer Y exactly on an
+# edge of the window test at i_F, as EDGE_CASES above.  X (u 2.5, v 2.5, one
+# price 1.5) sells first at 1.5, so Y's i_F is its index 2, price 2.0.  With
+# X at 1.5, Y (v 5) is the most tempting at every price and kept without
+# phi; X's overall utility 1 - phi(gap) bounds Y's, the gap 3, 2 and 1 at
+# Y's 1.0, 2.0 and 3.0.  The last entry lists the rows per ``_threshold``
+# call.
+REACH_EDGE_CASES = {
+    # Y's u 1: -1 >= 1 - phi(2) = -1.5 at 2.0, -2 < 0.5 at 3.0.  The highest
+    # index whose window holds is i_F: the row is estimated, and Y sells at 2.
+    # X's window holds at 1.5 only with Y at 3.0: one of its four rows
+    "window_ends_on_i_f": (
+        [(2.5, 2.5, 0.0, [1.5]), (1.0, 5.0, 0.0, [0.5, 1.0, 2.0, 3.0])],
+        (2.0, (0, 2)), [1, 1],
+    ),
+    # Y's u 0: -1 >= 1 - phi(3) = -3.5 at 1.0, -2 < -1.5 at 2.0.  The
+    # highest index whose window holds is i_F - 1: the row is dropped
+    # before any estimate, and X sells at 1.5 with Y at 2.0 (or 3.0)
+    "window_ends_below_i_f": (
+        [(2.5, 2.5, 0.0, [1.5]), (0.0, 5.0, 0.0, [0.5, 1.0, 2.0, 3.0])],
+        (1.5, (0, 2)), [2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REACH_EDGE_CASES)
+def test_only_rows_that_reach_f_are_estimated(monkeypatch, case):
+    offers, expected, threshold_rows = REACH_EDGE_CASES[case]
+    u, v, c, grids = zip(*offers)
+    prices = [np.array(p) for p in grids]
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
+    seen = _count_threshold_rows(monkeypatch)
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed") == expected
+    assert [rows for _, rows in seen] == threshold_rows
+
+
 def test_bracketed_takes_at_most_three_offers():
     grids = [np.array([0.0, 1.0])] * 4
     with pytest.raises(ValueError, match="at most three offers, got 4"):
@@ -923,14 +979,16 @@ def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
 
     monkeypatch.setattr(_kernels, "psi_inverse", _wrong_estimate(estimate, 0.5))
     assert _subset_results(inst, prices, "bracketed") == expected
+    seen = _count_threshold_rows(monkeypatch)
     sol, stats = grid_best_contract(inst, coarse, mode="bracketed", stats=True)
     assert sol.profit == expected_coarse.profit == reference
     assert menu_prices(sol) == menu_prices(expected_coarse)
     assert menu_ids(sol) == menu_ids(expected_coarse)
     if estimate == "inf":
-        # every row that is not pruned is alive (all u >= 0 = lowest price),
-        # and none is confirmed
-        assert all(s.fallback_rows == s.tuples - s.pruned for s in stats.sizes[1:])
+        # no estimate is confirmed: every row that reaches _threshold is bisected
+        estimated = [sum(n for size, n in seen if size == s.size) for s in stats.sizes[1:]]
+        assert all(estimated)
+        assert [s.fallback_rows for s in stats.sizes[1:]] == estimated
 
 
 # -- one choice rule ----------------------------------------------------------------
