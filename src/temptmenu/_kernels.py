@@ -7,33 +7,22 @@ lexicographically smallest price-index tuple):
 * ``exhaustive`` walks every price tuple and replays the choice rule; it
   is the literal reference oracle the other search is checked against;
 * ``bracketed`` designates each offer in turn as the consumed one, walks
-  the other offers' price tuples (rows), and finds per row the largest
-  designated price that keeps the offer inside the consumer's tie
-  window.  Raising an offer's own price only ever hurts it, so the
-  window test is monotone and feasibility is a prefix of the sorted
-  price array.  The search solves each row's continuous threshold price
-  from ``psi(x) = x + phi(x)``, inverted on one table for both cost
-  families, snaps it to the grid, and confirms it with two window
-  checks: the window holds at the snapped index and fails one index
-  higher.  Where it holds at both, the estimate is one index low (common
-  when round power-cost parameters put thresholds on grid points), and a
-  third check, the window failing two indices higher, confirms the next
-  index.  Rows that fail the confirmation, including non-finite
-  estimates, are bisected on the window test instead.  The estimate only
-  guides; the window test decides every index, so the result is exact
-  and identical to bisecting every row.
+  the other offers' price tuples (rows), and finds the largest designated
+  price at which some row keeps the offer inside the consumer's tie
+  window.  Raising an offer's own price only ever hurts it, so the window
+  test is monotone and each row's feasible indices are a prefix of the
+  sorted price array.
 
-  Before its threshold is estimated, a row is dropped when it cannot
-  reach ``F = max(best so far, floor)``, ``floor`` being the best profit
-  of the subsets searched before.  Let ``i_F`` be the lowest index whose
-  profit reaches ``F`` and ``p = Pd[i_F]``.  Each block of rows is tested
-  in four steps, the cheapest first, the first three without a window
-  check:
+  A row is dropped when it cannot reach ``F = max(best so far, floor)``,
+  ``floor`` being the best profit of the subsets searched before.  Let
+  ``i_F`` be the lowest index whose profit reaches ``F`` and
+  ``p = Pd[i_F]``.  Each block of rows is tested in five steps, the
+  cheapest first, the first three without a window check:
 
   1. If ``i_F == nd``, no designated price reaches ``F``.  As ``F`` only
      rises, the block and every later block of the designated offer are
      counted as walked and pruned without being built.
-  2. A row's highest allowed index must reach ``i_F``.  That index is
+  2. A row's highest allowed index ``hi`` must reach ``i_F``.  ``hi`` is
      ``nd - 1`` where some other offer is affordable, so the menu is
      signed at any designated price, and ``caps[d]`` elsewhere.  So all
      rows pass if ``caps[d] >= i_F``, and otherwise only those with an
@@ -59,13 +48,27 @@ lexicographically smallest price-index tuple):
   4. The rows steps 2 and 3 keep get one window check, at ``i_F``.  The
      window holds on a prefix of the indices, so it fails at ``i_F``
      exactly when the highest index whose window holds is below ``i_F``
-     (step 2 puts the row's highest allowed index at or above ``i_F``).
-     The row's profit is then below ``F``: it can neither win nor tie,
-     and it is dropped before its threshold is estimated.  Every row left
-     sells at ``i_F`` or above, so its bisection, if any, starts at
-     ``i_F``.  Most rows steps 2 and 3 keep fail here: on the worked
-     instance, bare grid over ``[0, 20]`` at step 0.01, 11.5k of the 858k
-     three-offer rows they keep reach ``F``.
+     (step 2 puts ``hi`` at or above ``i_F``).  The row's profit is then
+     below ``F``: it can neither win nor tie, and it is dropped.  Most
+     rows steps 2 and 3 keep fail here: on the worked instance, bare grid
+     over ``[0, 20]`` at step 0.01, 11.5k of the 858k three-offer rows
+     they keep reach ``F``.
+  5. Every row left sells at the highest index at most its ``hi`` whose
+     window holds, at or above ``i_F``.  The indices where a row's window
+     holds and that are at most its ``hi`` are a prefix, as both
+     conditions are, and a union of prefixes is a prefix.  So the block's
+     best index ``I*``, the largest at which some row's window holds
+     within its ``hi``, is found by one search over a scalar index: it
+     gallops up from ``i_F`` (offsets 1, 2, 4, ...) until a probe fails,
+     then bisects.  A probe tests each row still in the search once;
+     where some row holds, the rows that fail are dropped, as they fail
+     at every higher index too.  Margins do not fall with the index, so
+     the block's best profit is ``margins[I*]``.  Adjacent prices can
+     round to the same margin, and the tie order wants the lowest index
+     with it, ``low``: the rows sold at that profit are those whose
+     window holds at ``low`` within their ``hi``, one more check where
+     ``low < I*``, and the lexicographically smallest of them is the
+     block's pick.
 
   Steps 2 and 3 never look at a row one by one.  ``U_t = u_t - P_t`` and
   ``V_t = v_t - P_t`` fall with the index, also in IEEE arithmetic, and so
@@ -82,7 +85,7 @@ lexicographically smallest price-index tuple):
     ``-(U_b - CHOICE_TIE_TOL) >= -(ud - p)`` (``side="left"``: a row on the
     edge passes);
   * ``v_a >= v_b``, so the leading offer is the most tempting of the two
-    (the tie rule of ``_rival``), from the first ``-V_b >= -V_a``
+    (the tie rule of ``_top``), from the first ``-V_b >= -V_a``
     (``side="left"``);
   * the leading offer's own tests, ``vd - p > v_a`` and
     ``ud - p >= u_a - CHOICE_TIE_TOL``, hold or fail for the whole leading
@@ -96,11 +99,11 @@ lexicographically smallest price-index tuple):
   ending at the block or cap end, and the open rows one interval before
   it.  Both are built for all of a block's leading indices at once with
   ``repeat`` and ``cumsum``, and ``tuples`` and ``pruned`` count from the
-  interval lengths.  ``phi`` is evaluated once over both sets: the kept
-  rows need ``top`` for the threshold estimate, and the open rows are kept
-  where it decides so.  A two-offer subset has one interval per block and
-  no open rows.  A pruned row is never built.  ``pruned`` counts the rows
-  steps 1-3 drop; a row step 4 drops counts one window check.
+  interval lengths.  ``phi`` gives ``top`` on the open rows only, and
+  keeps them where it decides so.  A two-offer subset has one interval
+  per block and no open rows.  A pruned row is never built.  ``pruned``
+  counts the rows steps 1-3 drop; a row step 4 drops counts one window
+  check.
 
   The blocks and their order are fixed, and ``i_F`` is set per block, so
   ``best`` and every counter change as if each row were tested in full.
@@ -156,101 +159,54 @@ def exhaustive(u, v, c, prices, cost):
     return best, tuple(int(q) for q in best_tuple)
 
 
-PSI_NODES = 4097
-"""Nodes of the ``psi(x) = x + phi(x)`` table the threshold estimate inverts."""
-
 ROW_BLOCK = 1 << 14
 """Rows ``bracketed`` processes at once; bounds its per-row temporaries."""
 
 
 @dataclass
 class Tally:
-    """Work counters a search adds to: rows walked, window checks, bisected
-    rows, and rows pruned without a window check."""
+    """Work counters a search adds to: rows walked, window checks, and rows
+    pruned without a window check."""
 
     tuples: int = 0
     window_checks: int = 0
-    fallback_rows: int = 0
     pruned: int = 0
 
 
-def psi_table(prices, v, cost):
-    """``(x, psi(x))`` on ``[0, T]``, T the largest temptation gap the grids allow."""
-    span = (max(v) - min(v)) + (max(p[-1] for p in prices) - min(p[0] for p in prices))
-    xs = np.linspace(0.0, span if span > 0.0 else 1.0, PSI_NODES)
-    return xs, xs + cost.phi_array(xs)
+class _Rows:
+    """A block's kept rows: per other offer its price index, utility and
+    temptation value, and per row ``hi``, the highest index the designated
+    offer may sell at (step 2)."""
+
+    def __init__(self, idx, uo, vo, hi):
+        self.idx, self.uo, self.vo, self.hi = idx, uo, vo, hi
+
+    def __getitem__(self, mask):
+        if mask.all():
+            return self
+        return _Rows(*([x[mask] for x in xs] for xs in (self.idx, self.uo, self.vo)), self.hi[mask])
+
+    def holds(self, ud, vd, Pd, i, cost, tally):
+        """Per row, whether the designated offer can sell at index ``i``:
+        ``i`` is at most ``hi`` and the offer is inside the tie window at
+        ``Pd[i]``.  One window check per row."""
+        tally.window_checks += self.hi.size
+        vs = vd - Pd[i]
+        big = reduce(np.maximum, self.vo, vs)
+        own = (ud - Pd[i]) - cost.phi_array(big - vs)
+        top = reduce(np.maximum, [a - cost.phi_array(big - b) for a, b in zip(self.uo, self.vo)])
+        return (i <= self.hi) & (own >= np.maximum(own, top) - CHOICE_TIE_TOL)
 
 
-def psi_inverse(y, xs, psis):
-    """Estimate of ``psi^-1(y)``, clamped to the table's range."""
-    return np.interp(y, psis, xs)
-
-
-def _window(ud, vd, Pd, uo, vo, cost):
-    """Tie-window test of the designated offer at price index ``idx``, per row."""
-    nd = len(Pd)
-
-    def window(idx):
-        pd = Pd[np.minimum(np.maximum(idx, 0), nd - 1)]
-        vs = vd - pd
-        big = reduce(np.maximum, vo, vs)
-        own = (ud - pd) - cost.phi_array(big - vs)
-        top = reduce(np.maximum, [a - cost.phi_array(big - b) for a, b in zip(uo, vo)])
-        return own >= np.maximum(own, top) - CHOICE_TIE_TOL
-
-    return window
-
-
-def _rival(uo, vo):
-    """Per row, without ``phi``: ``vmax``, the others' largest temptation
-    value, and ``ustar, usub, gap``, from which ``_top`` gives their best
-    overall utility when one of them is the most tempting.  ``ustar`` is
-    that offer's utility; it resists nothing, and ``phi(0) = 0``.  With a
-    second other offer, ``usub`` is its utility and ``gap`` the temptation
-    it resists; with none, both are None."""
-    if len(uo) == 1:
-        return vo[0], uo[0], None, None
+def _top(uo, vo, cost):
+    """Per row, the two other offers' best overall utility when one of them
+    is the most tempting (ties go to the first): that offer's utility, as it
+    resists nothing and ``phi(0) = 0``, or the other's less ``phi`` of the
+    temptation it resists."""
     (ua, ub), (va, vb) = uo, vo
     first = va >= vb
-    return np.maximum(va, vb), np.where(first, ua, ub), np.where(first, ub, ua), np.abs(va - vb)
-
-
-def _top(ustar, usub, gap, cost):
-    """``max(ustar, usub - phi(gap))``: ``phi`` on the one resisted gap."""
-    return ustar if usub is None else np.maximum(ustar, usub - cost.phi_array(gap))
-
-
-def _threshold(ud, vd, uo, vo, vmax, top, table):
-    """Continuous price at which the designated offer leaves the tie window.
-
-    Past ``s = vd - vmax`` another offer is the most tempting and the
-    others' best overall utility is the per-row constant ``top``; below
-    ``s`` the designated offer is the most tempting and each other offer
-    bounds its price on its own.  Both bounds invert the same ``psi``.
-    """
-    s = vd - vmax
-    above = s + psi_inverse(ud - s - top + CHOICE_TIE_TOL, *table)
-    below = reduce(
-        np.minimum,
-        [vd - b - psi_inverse(a - ud + vd - b - CHOICE_TIE_TOL, *table) for a, b in zip(uo, vo)],
-    )
-    return np.where(below < s, below, above)
-
-
-def _bisect(window, start, hi, tally):
-    """Largest index in ``[start, hi]`` whose window holds, by bisection per
-    row; the window holds at ``start``."""
-    lo = np.full(hi.shape, start, dtype=np.int64)
-    hi2 = (hi + 1).astype(np.int64)
-    while True:
-        open_ = (hi2 - lo) > 1
-        if not open_.any():
-            return lo
-        mid = (lo + hi2) >> 1
-        good = window(mid) & open_
-        tally.window_checks += hi.size
-        lo = np.where(good, mid, lo)
-        hi2 = np.where(open_ & ~good, mid, hi2)
+    resists = np.where(first, ub, ua) - cost.phi_array(np.abs(va - vb))
+    return np.maximum(np.where(first, ua, ub), resists)
 
 
 def _spans(lead, lo, hi):
@@ -312,12 +268,11 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
     A row is pruned, before any window check, when its profit bound falls
     short of ``max(best so far, floor)``; rows that can tie it are kept.
     Only the rows the ``phi``-free bounds keep or leave open are built, as
-    intervals of the last index, and ``phi`` is evaluated once per row.
-    A kept row whose window fails at ``i_F`` is dropped before its
-    threshold is estimated.
+    intervals of the last index, and ``phi`` decides the open ones.  The
+    kept rows are tested at ``i_F``, and one search over the designated
+    offer's index on the rows that hold there finds the block's best price.
     """
     m = len(prices)
-    table = None  # built for the first kept row: many searches keep none
     # each offer's utility and temptation value at each of its prices, and
     # the non-decreasing keys ``_kept`` searches
     U = [u[t] - p for t, p in enumerate(prices)]
@@ -327,7 +282,7 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
     best_tuple = None
     for d in range(m):
         others = [t for t in range(m) if t != d]
-        Pd = prices[d]
+        Pd, ud, vd = prices[d], u[d], v[d]
         nd = len(Pd)
         margins = Pd - c[d]
         total = math.prod(len(prices[t]) for t in others)
@@ -341,82 +296,52 @@ def bracketed(u, v, c, prices, caps, cost, tally, floor=-math.inf):
                 tally.pruned += total - start
                 break
             tally.tuples += stop - start
-            own = u[d] - Pd[i_f]
-            free, open_ = _kept(
-                start, stop, own, v[d] - Pd[i_f], caps[d] < i_f, others, caps, U, V, keys
+            own = ud - Pd[i_f]
+            idx, open_ = _kept(
+                start, stop, own, vd - Pd[i_f], caps[d] < i_f, others, caps, U, V, keys
             )
-            nfree = free[0].size
-            oidx = free
             if open_ and open_[0].size:
-                oidx = [np.concatenate(pair) for pair in zip(free, open_)]
-            if not oidx[0].size:
-                tally.pruned += stop - start
-                continue
-            uo = [U[t][i] for t, i in zip(others, oidx)]
-            vo = [V[t][i] for t, i in zip(others, oidx)]
-            vmax, ustar, usub, gap = _rival(uo, vo)
-            top = _top(ustar, usub, gap, cost)
-            if top.size > nfree:
                 # an open row is kept where d reaches the others' best (step 3)
-                keep = np.ones(top.size, dtype=bool)
-                keep[nfree:] = own >= top[nfree:] - CHOICE_TIE_TOL
-                if not keep.all():
-                    oidx, uo, vo = ([x[keep] for x in xs] for xs in (oidx, uo, vo))
-                    vmax, top = vmax[keep], top[keep]
-            kept = oidx[0].size
+                top = _top([U[t][i] for t, i in zip(others, open_)],
+                           [V[t][i] for t, i in zip(others, open_)], cost)
+                keep = own >= top - CHOICE_TIE_TOL
+                idx = [np.concatenate((i, j[keep])) for i, j in zip(idx, open_)]
+            kept = idx[0].size
             tally.pruned += stop - start - kept
             if not kept:
                 continue
-            # the window holds on a prefix, so a row where it fails at i_f
-            # sells below i_f and cannot reach F (step 4)
-            window = _window(u[d], v[d], Pd, uo, vo, cost)
-            reach = window(i_f)
-            tally.window_checks += kept
-            if not reach.all():
-                oidx, uo, vo = ([x[reach] for x in xs] for xs in (oidx, uo, vo))
-                vmax, top = vmax[reach], top[reach]
-                kept = oidx[0].size
-                if not kept:
-                    continue
-                window = _window(u[d], v[d], Pd, uo, vo, cost)
-            afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, oidx)])
-            hi = np.where(afford, nd - 1, caps[d])
-
-            if table is None:
-                table = psi_table(prices, v, cost)
-            est = _threshold(u[d], v[d], uo, vo, vmax, top, table)
-            lo = np.minimum(np.searchsorted(Pd, est, side="right") - 1, hi)
-            holds = np.isfinite(est) & window(lo)
-            holds_up = (lo < hi) & window(lo + 1)
-            tally.window_checks += 2 * kept
-            hit = holds & ~holds_up
-            # an estimate one index low holds one index higher too: confirm
-            # that index by the window failing above it
-            up = np.flatnonzero(holds & holds_up)
-            if up.size:
-                sub = _window(u[d], v[d], Pd, [x[up] for x in uo], [x[up] for x in vo], cost)
-                nxt = lo[up] + 1
-                ok = up[(nxt >= hi[up]) | ~sub(nxt + 1)]
-                tally.window_checks += up.size
-                lo[ok] += 1
-                hit[ok] = True
-            miss = np.flatnonzero(~hit)
-            if miss.size:
-                tally.fallback_rows += miss.size
-                sub = _window(
-                    u[d], v[d], Pd, [x[miss] for x in uo], [x[miss] for x in vo], cost
-                )
-                lo[miss] = _bisect(sub, i_f, hi[miss], tally)
-            # every row reaches i_f, so its profit reaches F and best
-            profit = margins[lo]
-            local = float(profit.max())
-            cand = profit == local
-            tup = np.empty((m, int(np.count_nonzero(cand))), dtype=np.int64)
+            afford = reduce(np.logical_or, [i <= caps[t] for t, i in zip(others, idx)])
+            rows = _Rows(
+                idx, [U[t][i] for t, i in zip(others, idx)], [V[t][i] for t, i in zip(others, idx)],
+                np.where(afford, nd - 1, caps[d]),
+            )
+            # a row whose window fails at i_f sells below it and cannot
+            # reach F (step 4)
+            holds = rows.holds(ud, vd, Pd, i_f, cost, tally)
+            if not holds.any():
+                continue
+            reach = rows = rows[holds]
+            # I*, the last index where some row sells (step 5): some row
+            # sells at lo, none at end or above
+            lo, end, step = i_f, int(rows.hi.max()) + 1, 1
+            while end - lo > 1:
+                mid = i_f + step if i_f + step < end else (lo + end) >> 1
+                holds = rows.holds(ud, vd, Pd, mid, cost, tally)
+                if holds.any():
+                    lo, step, rows = mid, 2 * step, rows[holds]
+                else:
+                    end = mid
+            local = float(margins[lo])
             # adjacent prices can round to the same margin: the tie order
-            # wants the lowest such index, which the window also holds at
-            tup[d] = np.searchsorted(margins, local, side="left")
-            for t, i in zip(others, oidx):
-                tup[t] = i[cand]
+            # wants the lowest index with it, and the rows sold at this
+            # profit are those that sell there
+            low = int(np.searchsorted(margins, local, side="left"))
+            if low < lo:
+                rows = reach[reach.holds(ud, vd, Pd, low, cost, tally)]
+            tup = np.empty((m, rows.hi.size), dtype=np.int64)
+            tup[d] = low
+            for t, i in zip(others, rows.idx):
+                tup[t] = i
             order = np.lexsort(tup[::-1])
             pick = tuple(int(tup[t, order[0]]) for t in range(m))
             if local > best or (best_tuple is not None and pick < best_tuple):

@@ -11,6 +11,16 @@ Two search modes return the identical exact grid optimum (see
 ``_kernels``): ``exhaustive`` is the literal enumeration, kept as the
 reference, and ``bracketed`` the production search that ``auto`` runs.
 
+Menus of at most three offers lose nothing, on any grid, so
+``GridSpec.max_menu_size`` stops at 3.  Take a menu of any size and keep
+only the offer chosen, the one with the largest ``v - p`` and the one
+with the largest ``u - p``.  The signing test reads the largest
+``u - p``, which is kept, and each kept offer's overall utility reads the
+largest ``v - p``, which is kept, so it is the same double.  The best
+overall utility can only fall, and with it the cutoff
+``best - CHOICE_TIE_TOL``, as rounding is monotone: the chosen offer stays
+in the tie window, and the seller's pick earns at least its margin.
+
 numpy and ``_kernels`` are imported inside the functions that search, so
 ``GridSpec``, ``verify_solution`` and the rest of this module load
 without them.
@@ -133,17 +143,16 @@ class SizeStats:
     check because their profit bound is below the best profit found so far,
     in this subset or an earlier one.  ``window_checks`` counts per-row
     tie-window evaluations: one per row that is not pruned, at the lowest
-    index whose profit reaches that best; then, on each row whose window
-    holds there (a row that reaches it), two to confirm the threshold
-    estimate, one more where the estimate was one index low, to confirm
-    the next index, plus one per bisection pass over the
-    ``fallback_rows``, the rows that reach it where neither was confirmed.
+    index whose profit reaches that best.  Then, per block of rows, the
+    search for the block's best price tests each row still in it at each
+    index it probes, and, where adjacent prices round to the best price's
+    margin, each row that reached that best once more at the lowest such
+    index.
     """
 
     size: int
     tuples: int
     window_checks: int
-    fallback_rows: int
     pruned: int
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +294,52 @@ def test_fourth_offer_adds_nothing():
     assert best4 <= best3.profit + 1e-9
 
 
+def _random_menu(rng, family):
+    """A menu of 4-8 offers, priced at a scale from 1 to 1e9, and a cost of
+    ``family`` (0 piecewise, 1 power, 2 quadratic) scaled alike.  In 30% of
+    the menus one offer copies another's ``u, v`` and price at another
+    cost, so the two tie on every utility and the seller's tie-break picks."""
+    n = int(rng.integers(4, 9))
+    scale = 10.0 ** int(rng.integers(0, 10))
+    u, v, c, p = rng.uniform(0.0, 20.0, (4, n)) * scale
+    if rng.random() < 0.3:
+        i, j = rng.choice(n, 2, replace=False)
+        u[j], v[j], p[j] = u[i], v[i], p[i]
+    if family == 0:
+        cost = PiecewiseLinearCost(
+            float(rng.uniform(0.05, 0.95)), float(rng.uniform(1.05, 4.95)),
+            float(rng.uniform(0.0, 15.0)) * scale,
+        )
+    elif family == 1:
+        gamma = float(rng.uniform(1.0, 6.0))
+        cost = PowerCost(scale ** (1.0 - gamma), gamma)
+    else:
+        cost = QuadraticCost(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.02, 0.5)) / scale)
+    return u, v, c, p, cost
+
+
+def test_three_offers_earn_what_any_menu_earns():
+    # the reduction in the ``oracle`` docstring: the offer chosen, the one
+    # with the largest v - p and the one with the largest u - p earn what the
+    # whole menu earns.  A Contract holds at most three offers, so the whole
+    # menu is replayed by ``exhaustive`` on one-price grids, and its choice
+    # by the model's rule on a bare list of offers
+    rng = np.random.default_rng(31)
+    for k in range(2400):
+        u, v, c, p, cost = _random_menu(rng, k % 3)
+        offers = [Offer(Alternative(f"a{i}", u[i], v[i], c[i]), p[i]) for i in range(len(p))]
+        found = _kernels.exhaustive(u, v, c, [np.array([x]) for x in p], cost)
+        if found is None:  # rejected: no offer is worth signing for
+            assert max(u - p) < 0.0
+            continue
+        menu = SimpleNamespace(offers=offers)
+        chosen = model._pick(menu, model.overall_utilities(menu, cost))
+        assert found[0] == offers[chosen].margin
+        keep = sorted({chosen, int(np.argmax(v - p)), int(np.argmax(u - p))})
+        sub = Contract(tuple(offers[i] for i in keep), 0, oracle._SIZE_KIND[len(keep)])
+        assert realized_outcome(sub, cost).profit == found[0], k
+
+
 def _python_reference_best(inst, prices_by_alt):
     """Literal menu enumeration through the public model API."""
     from itertools import combinations, product
@@ -370,36 +417,34 @@ def test_search_stats_count_rows_by_hand(running):
     # each kept row is then tested once at the designated price 10, and its
     # window holds there on three: B with A at 10 (B's overall utility -2
     # against A's -6.5), C with A at 10 (-8 against -10.5) and B with A and
-    # C at 10 (-4.5 against -10.5 and -8).  Each of these three rows has its
-    # estimate confirmed by two checks, and none is bisected: 6 + 2 * 2 and
-    # 7 + 2 * 1 window checks
-    assert [(s.window_checks, s.fallback_rows) for s in stats.sizes] == [
-        (0, 0), (6 + 2 * 2, 0), (7 + 2 * 1, 0)
-    ]
+    # C at 10 (-4.5 against -10.5 and -8).  10 is the top of the grid, so
+    # the search for the best price has no index left to probe, and no
+    # lower price has the same margin: 6 and 7 window checks
+    assert [s.window_checks for s in stats.sizes] == [0, 6, 7]
     _, ex = grid_best_contract(running, grid, mode="exhaustive", stats=True)
     assert ex.mode == "exhaustive"
-    assert [
-        (s.size, s.tuples, s.window_checks, s.fallback_rows) for s in ex.sizes
-    ] == [(1, 3, 0, 0), (2, 27, 27, 0), (3, 27, 27, 0)]
+    assert [(s.size, s.tuples, s.window_checks) for s in ex.sizes] == [
+        (1, 3, 0), (2, 27, 27), (3, 27, 27)
+    ]
 
 
 @pytest.mark.parametrize(
     "power, sizes",
     [
-        (False, [(1, 3, 0, 0, 0), (2, 2408, 815, 0, 1997), (3, 483205, 36145, 0, 448541)]),
-        (True, [(1, 3, 0, 0, 0), (2, 2410, 839, 0, 2008), (3, 484008, 23843, 0, 460378)]),
+        (False, [(1, 3, 0, 0), (2, 2408, 592, 1997), (3, 483205, 37241, 448541)]),
+        (True, [(1, 3, 0, 0), (2, 2410, 718, 2008), (3, 484008, 23926, 460378)]),
     ],
     ids=["piecewise", "power"],
 )
 def test_search_stats_are_pinned_on_the_worked_instance(running, power, sizes):
-    # every counter as the search that first pruned rows by a full profit
-    # bound recorded it: a cheaper test of the same bound prunes the same rows
+    # tuples and pruned as the search that first pruned rows by a full profit
+    # bound recorded them: a cheaper test of the same bound prunes the same
+    # rows.  The window checks are those of one search per block for the
+    # best price
     inst = with_power_cost(running) if power else running
     grid = GridSpec(price_step=0.05, price_min=0.0, price_max=20.0)
     _, stats = grid_best_contract(inst, grid, stats=True)
-    assert [
-        (s.size, s.tuples, s.window_checks, s.fallback_rows, s.pruned) for s in stats.sizes
-    ] == sizes
+    assert [(s.size, s.tuples, s.window_checks, s.pruned) for s in stats.sizes] == sizes
 
 
 PINNED_GAMMAS = (1.5, 2.0, 20.0, 60.0, 300.0)
@@ -424,133 +469,134 @@ def _pinned_search(i):
 
 
 # per search: the menu as ((id, price), ...) and its profit, or None; the
-# SizeStats as (size, tuples, window_checks, fallback_rows, pruned); and the
-# floored three-offer search as (result, (tuples, window_checks,
-# fallback_rows, pruned)); every value as the search that built and tested
-# each row recorded it: building only the kept rows must change none
+# SizeStats as (size, tuples, window_checks, pruned); and the floored
+# three-offer search as (result, (tuples, window_checks, pruned)).  The
+# results, tuples and pruned are as the search that built and tested each
+# row recorded them: building only the kept rows must change none.  The
+# window checks are those of one search per block for the best price
 PINNED_SEARCHES = {
     0: (
         ((('a1', 18.517386896334074), ('a2', 18.549509924269056)), 12.316201567792646),
-        [(1, 3, 0, 0, 0), (2, 546, 276, 0, 406), (3, 24842, 2640, 0, 22280)],
-        ((12.316201567792646, (53, 75, 76)), (24842, 15405, 0, 14019)),
+        [(1, 3, 0, 0), (2, 546, 236, 406), (3, 24842, 2601, 22280)],
+        ((12.316201567792646, (53, 75, 76)), (24842, 20834, 14019)),
     ),
     1: (
         ((('a1', 28.544873534341676), ('a3', 12.890180174994308)), 21.671951810783902),
-        [(1, 4, 0, 0, 0), (2, 1095, 196, 0, 955), (3, 99916, 184, 0, 99736)],
-        ((14.627078276442226, (72, 87, 66)), (25208, 12872, 0, 17260)),
+        [(1, 4, 0, 0), (2, 1095, 246, 955), (3, 99916, 180, 99736)],
+        ((14.627078276442226, (72, 87, 66)), (25208, 19899, 17260)),
     ),
     2: (
         ((('a0', 18.482610535973166), ('a1', 18.036785813379748), ('a2', 19.48706466071273)),
          13.518659694407129),
-        [(1, 3, 0, 0, 0), (2, 1338, 707, 0, 945), (3, 149186, 767, 0, 148592)],
-        ((13.518659694407129, (185, 182, 197)), (149186, 14243, 0, 143002)),
+        [(1, 3, 0, 0), (2, 1338, 911, 945), (3, 149186, 798, 148592)],
+        ((13.518659694407129, (185, 182, 197)), (149186, 24323, 143002)),
     ),
     3: (
         ((('a0', 21.418715840749876), ('a1', 27.089414817197333), ('a3', 15.532442890948177)),
          21.36329224064983),
-        [(1, 4, 0, 0, 0), (2, 2679, 635, 0, 2278), (3, 598084, 12049, 0, 588356)],
-        ((17.309045401770977, (175, 222, 108)), (150080, 16056, 0, 142280)),
+        [(1, 4, 0, 0), (2, 2679, 820, 2278), (3, 598084, 10888, 588356)],
+        ((17.309045401770977, (175, 222, 108)), (150080, 31150, 142280)),
     ),
     4: (
         ((('a0', 16.0), ('a1', 14.75)), 12.856182152724546),
-        [(1, 3, 0, 0, 0), (2, 534, 91, 0, 501), (3, 23763, 1455, 0, 22308)],
-        ((9.869890295636274, (24, 23, 88)), (23763, 19926, 0, 13353)),
+        [(1, 3, 0, 0), (2, 534, 72, 501), (3, 23763, 1455, 22308)],
+        ((9.869890295636274, (24, 23, 88)), (23763, 32050, 13353)),
     ),
     5: (
         ((('a2', 17.25), ('a3', 22.0)), 17.73431007121055),
-        [(1, 4, 0, 0, 0), (2, 1068, 352, 0, 924), (3, 95052, 2301, 0, 93259)],
-        ((13.399411784015996, (50, 88, 57)), (23763, 23400, 0, 15493)),
+        [(1, 4, 0, 0), (2, 1068, 356, 924), (3, 95052, 1793, 93259)],
+        ((13.399411784015996, (50, 88, 57)), (23763, 53682, 15493)),
     ),
     6: (
         ((('a0', 18.0),), 12.381386018051527),
-        [(1, 3, 0, 0, 0), (2, 1326, 745, 0, 887), (3, 146523, 48498, 0, 109383)],
-        ((12.381386018051527, (180, 134, 162)), (146523, 73895, 0, 98450)),
+        [(1, 3, 0, 0), (2, 1326, 439, 887), (3, 146523, 37140, 109383)],
+        ((12.381386018051527, (180, 134, 162)), (146523, 99391, 98450)),
     ),
     7: (
         ((('a0', 17.7), ('a1', 19.5), ('a2', 16.8)), 15.868877914529122),
-        [(1, 4, 0, 0, 0), (2, 2652, 47, 0, 2629), (3, 586092, 804, 0, 585448)],
-        ((15.868877914529122, (177, 195, 168)), (146523, 38272, 0, 131953)),
+        [(1, 4, 0, 0), (2, 2652, 78, 2629), (3, 586092, 838, 585448)],
+        ((15.868877914529122, (177, 195, 168)), (146523, 85334, 131953)),
     ),
     8: (
         ((('a0', 8.786495177826389), ('a1', 19.28273371733146)), 18.11484751674744),
-        [(1, 3, 0, 0, 0), (2, 546, 103, 0, 509), (3, 24842, 158, 0, 24722)],
-        ((18.11484751674744, (36, 79, 73)), (24842, 17711, 0, 18447)),
+        [(1, 3, 0, 0), (2, 546, 208, 509), (3, 24842, 139, 24722)],
+        ((18.11484751674744, (36, 79, 73)), (24842, 42612, 18447)),
     ),
     9: (
         ((('a1', 16.786818440797422), ('a2', 16.6656113243111), ('a3', 17.469216714455413)),
          15.674435108588213),
-        [(1, 4, 0, 0, 0), (2, 1095, 359, 0, 928), (3, 99916, 2234, 0, 97698)],
-        ((15.387616667790791, (58, 68, 67)), (25024, 11568, 0, 19432)),
+        [(1, 4, 0, 0), (2, 1095, 280, 928), (3, 99916, 2230, 97698)],
+        ((15.387616667790791, (58, 68, 67)), (25024, 17180, 19432)),
     ),
     10: (
         ((('a0', 17.4029169115322), ('a2', 29.044049022439378)), 11.726550121639661),
-        [(1, 3, 0, 0, 0), (2, 1338, 548, 0, 898), (3, 149186, 9439, 0, 139823)],
-        ((11.726550121639661, (175, 186, 222)), (149186, 53972, 0, 95516)),
+        [(1, 3, 0, 0), (2, 1338, 440, 898), (3, 149186, 9363, 139823)],
+        ((11.726550121639661, (175, 186, 222)), (149186, 54265, 95516)),
     ),
     11: (
         ((('a0', 10.361902017758325), ('a3', 16.795690561948653)), 9.509729756415481),
-        [(1, 4, 0, 0, 0), (2, 2679, 507, 0, 2460), (3, 598084, 36929, 0, 561509)],
-        ((8.030921419479297, (104, 148, 111)), (149632, 59078, 0, 127463)),
+        [(1, 4, 0, 0), (2, 2679, 463, 2460), (3, 598084, 36752, 561509)],
+        ((8.030921419479297, (104, 148, 111)), (149632, 71441, 127463)),
     ),
     12: (
         ((('a0', 14.25), ('a2', 22.0)), 12.072344721041501),
-        [(1, 3, 0, 0, 0), (2, 534, 235, 0, 409), (3, 23763, 1610, 0, 22451)],
-        ((12.072344721041501, (48, 29, 88)), (23763, 7224, 0, 19359)),
+        [(1, 3, 0, 0), (2, 534, 137, 409), (3, 23763, 1312, 22451)],
+        ((12.072344721041501, (48, 29, 88)), (23763, 9920, 19359)),
     ),
     13: (
         ((('a0', 15.5), ('a1', 22.0)), 14.570677778493263),
-        [(1, 4, 0, 0, 0), (2, 1068, 148, 0, 1016), (3, 95052, 104, 0, 94972)],
-        ((14.570677778493263, (62, 88, 88)), (23763, 13358, 0, 16235)),
+        [(1, 4, 0, 0), (2, 1068, 352, 1016), (3, 95052, 80, 94972)],
+        ((14.570677778493263, (62, 88, 88)), (23763, 22286, 16235)),
     ),
     14: (
         ((('a0', 22.0), ('a1', 16.4)), 18.470953563390587),
-        [(1, 3, 0, 0, 0), (2, 1326, 169, 0, 1263), (3, 146523, 0, 0, 146523)],
-        ((16.22796249375969, (194, 138, 220)), (146523, 50945, 0, 127686)),
+        [(1, 3, 0, 0), (2, 1326, 409, 1263), (3, 146523, 0, 146523)],
+        ((16.22796249375969, (194, 138, 220)), (146523, 111198, 127686)),
     ),
     15: (
         ((('a0', 16.4), ('a1', 13.7), ('a2', 18.2)), 15.78206791359759),
-        [(1, 4, 0, 0, 0), (2, 2652, 172, 0, 2558), (3, 586092, 5909, 0, 581233)],
-        ((15.78206791359759, (164, 137, 182)), (146523, 45140, 0, 126869)),
+        [(1, 4, 0, 0), (2, 2652, 329, 2558), (3, 586092, 7223, 581233)],
+        ((15.78206791359759, (164, 137, 182)), (146523, 96899, 126869)),
     ),
     16: (
         ((('a0', 17.121490641427368), ('a1', 21.376459734123756)), 13.567396304460464),
-        [(1, 3, 0, 0, 0), (2, 546, 131, 0, 430), (3, 24842, 1722, 0, 23186)],
-        ((13.567396304460464, (69, 87, 59)), (24842, 18533, 0, 14904)),
+        [(1, 3, 0, 0), (2, 546, 123, 430), (3, 24842, 1689, 23186)],
+        ((13.567396304460464, (69, 87, 59)), (24842, 34362, 14904)),
     ),
     17: (
         ((('a0', 32.28465406935454), ('a2', 19.404132630157257)), 24.358728265790447),
-        [(1, 4, 0, 0, 0), (2, 1095, 146, 0, 1043), (3, 99916, 66, 0, 99856)],
-        ((24.358728265790447, (90, 90, 78)), (24842, 14922, 0, 19440)),
+        [(1, 4, 0, 0), (2, 1095, 275, 1043), (3, 99916, 60, 99856)],
+        ((24.358728265790447, (90, 90, 78)), (24842, 36016, 19440)),
     ),
     18: (
         ((('a0', 19.01942751941317), ('a2', 22.134730735535836)), 15.3207278888584),
-        [(1, 3, 0, 0, 0), (2, 1336, 439, 0, 1105), (3, 148741, 5311, 0, 143606)],
-        ((15.3207278888584, (191, 135, 222)), (148741, 24569, 0, 133120)),
+        [(1, 3, 0, 0), (2, 1336, 298, 1105), (3, 148741, 5135, 143606)],
+        ((15.3207278888584, (191, 135, 222)), (148741, 37258, 133120)),
     ),
     19: (
         ((('a0', 19.50065935547536), ('a2', 32.732065608393086)), 31.83130828247589),
-        [(1, 4, 0, 0, 0), (2, 2679, 849, 3, 2352), (3, 598084, 338, 0, 597772)],
-        ((31.83130828247589, (196, 212, 222)), (149186, 178144, 24, 37083)),
+        [(1, 4, 0, 0), (2, 2679, 2599, 2352), (3, 598084, 312, 597772)],
+        ((31.83130828247589, (196, 212, 222)), (149186, 279347, 37083)),
     ),
     20: (
         ((('a0', 22.0), ('a2', 13.0)), 6.134338590974227),
-        [(1, 3, 0, 0, 0), (2, 534, 148, 0, 474), (3, 23763, 1849, 0, 22788)],
-        ((6.134338590974227, (88, 70, 52)), (23763, 3225, 0, 22212)),
+        [(1, 3, 0, 0), (2, 534, 342, 474), (3, 23763, 975, 22788)],
+        ((6.134338590974227, (88, 70, 52)), (23763, 4514, 22212)),
     ),
     21: (
         ((('a0', 16.5), ('a3', 13.75)), 4.438921486983141),
-        [(1, 4, 0, 0, 0), (2, 1068, 53, 0, 1027), (3, 95052, 3146, 0, 92074)],
-        (None, (23763, 300, 0, 23463)),
+        [(1, 4, 0, 0), (2, 1068, 57, 1027), (3, 95052, 3062, 92074)],
+        (None, (23763, 300, 23463)),
     ),
     22: (
         None,
-        [(1, 3, 0, 0, 0), (2, 1326, 96, 0, 1286), (3, 146523, 8096, 0, 138697)],
-        (None, (146523, 0, 0, 146523)),
+        [(1, 3, 0, 0), (2, 1326, 199, 1286), (3, 146523, 7961, 138697)],
+        (None, (146523, 0, 146523)),
     ),
     23: (
         ((('a0', 19.4), ('a1', 8.3), ('a2', 15.6)), 15.081703451319692),
-        [(1, 4, 0, 0, 0), (2, 2652, 1100, 0, 2172), (3, 586092, 5076, 0, 581030)],
-        ((15.081703451319692, (194, 83, 156)), (146523, 2051, 0, 144478)),
+        [(1, 4, 0, 0), (2, 2652, 480, 2172), (3, 586092, 5074, 581030)],
+        ((15.081703451319692, (194, 83, 156)), (146523, 2049, 144478)),
     ),
 }
 
@@ -564,9 +610,7 @@ def test_search_stats_are_pinned_on_random_searches(i):
         tuple((o.alternative.id, o.price) for o in sol.contract.offers), sol.profit
     )
     assert got == menu
-    assert [
-        (s.size, s.tuples, s.window_checks, s.fallback_rows, s.pruned) for s in stats.sizes
-    ] == sizes
+    assert [(s.size, s.tuples, s.window_checks, s.pruned) for s in stats.sizes] == sizes
     prices = oracle._price_arrays(inst, grid)[:3]
     alts = inst.alternatives[:3]
     tally = _kernels.Tally()
@@ -577,32 +621,12 @@ def test_search_stats_are_pinned_on_random_searches(i):
     assert (found, dataclasses.astuple(tally)) == floored
 
 
-@pytest.mark.parametrize("power", (False, True))
-def test_fallback_rows_are_a_small_share(running, power):
-    inst = with_power_cost(running) if power else running
-    grid = GridSpec(price_step=0.25, price_min=0.0, price_max=20.0)
-    _, stats = grid_best_contract(inst, grid, stats=True)
-    for s in stats.sizes:
-        assert s.fallback_rows <= s.tuples
-    assert sum(s.fallback_rows for s in stats.sizes) < 0.2 * sum(
-        s.tuples for s in stats.sizes
-    )
-
-
-def test_pruning_cuts_power_cost_fallback_rows(running):
-    # round power parameters put many thresholds exactly on decimal grid
-    # points, where the interpolated estimate lands one index low; the
-    # search confirms the next index before bisecting, so almost none of
-    # the rows left after pruning are bisected (none today; 1.0%, 245 of
-    # 24,543, when only the estimated index was confirmed; 9.5% of all
-    # rows without pruning)
+def test_pruning_drops_most_power_cost_rows(running):
     grid = GridSpec(
         price_step=0.05, price_min=0.0, price_max=20.0, include_analytic_prices=False
     )
     _, stats = grid_best_contract(with_power_cost(running), grid, stats=True)
     rows = sum(s.tuples for s in stats.sizes)
-    kept = rows - sum(s.pruned for s in stats.sizes)
-    assert sum(s.fallback_rows for s in stats.sizes) < 0.001 * kept
     assert sum(s.pruned for s in stats.sizes) > 0.9 * rows
 
 
@@ -687,26 +711,40 @@ def _window_from(x):
     return y
 
 
+def _count_open_rows(monkeypatch):
+    """Wrap ``_kernels._top``; returns the list it fills with the rows
+    ``phi`` decides, per block that has any."""
+    seen = []
+    top = _kernels._top
+
+    def counted(uo, vo, cost):
+        seen.append(len(uo[0]))
+        return top(uo, vo, cost)
+
+    monkeypatch.setattr(_kernels, "_top", counted)
+    return seen
+
+
 # Each case puts one row of a tiny search exactly on one edge of a pruning
 # step.  Offers are (u, v, c, prices) and every c is 0, so margins are
 # prices.  The designated offers run in order, so a later one only keeps
 # rows that can reach the profit an earlier one found; one whose margins
 # all fall short has every row pruned untouched.  ``phi_rows`` lists, per
-# block that has any, the rows on which the search evaluates phi with two
-# other offers: the rows the phi-free bounds keep or leave open, once each.
+# block that has any, the rows the phi-free bounds leave open, on which phi
+# decides step 3 with two other offers.
 EDGE_CASES = {
     # D at 1 is as tempting as A (v - p = 2), so only its utility 0.25 can
     # keep the row: exactly A's 0.25 + tol less the window, kept, and sold.
     # A and B, whose margins are 0, are then pruned.
     "own_on_ustar": (
         [(1.25, 3.0, 0.0, [1.0]), (_window_from(0.25), 2.0, 0.0, [0.0]), (0.0, 1.0, 0.0, [0.0])],
-        (1.0, (0, 0, 0)), 3, 2, [1],
+        (1.0, (0, 0, 0)), 3, 2, [],
     ),
     # as above, with D's 0.25 exactly the less tempting B's utility less the
     # window: B's bound alone keeps the row, with no phi before it is kept
     "own_on_usub": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (_window_from(0.25), 1.0, 0.0, [0.0])],
-        (1.0, (0, 0, 0)), 3, 2, [1],
+        (1.0, (0, 0, 0)), 3, 2, [],
     ),
     # B, 0.25 less tempting than A, resists phi(0.25) = 0.125: D's 0.25 is
     # below B's bound and exactly B's overall utility less the window
@@ -720,14 +758,14 @@ EDGE_CASES = {
     # 0.5 (D and A tie at v - p = 2, so D's utility is the bound): pruned
     "temptation_on_vmax": (
         [(1.5, 3.0, 0.0, [1.0]), (1.0, 2.0, 0.0, [0.0]), (0.0, 1.0, 0.0, [0.0])],
-        (0.0, (0, 0, 0)), 3, 2, [1],
+        (0.0, (0, 0, 0)), 3, 2, [],
     ),
     # D at 1 is as tempting as A and reaches A's 0, not B's 1: phi decides,
     # and B's 1 - phi(1) = 0.5 is above D's 0.25: pruned.  A at 0 falls
     # below D's 0.25: pruned.  B at 0 is kept and sells for 0
     "temptation_on_vmax_open": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.0, 1.0, 0.0, [0.0])],
-        (0.0, (0, 0, 0)), 3, 2, [1, 1],
+        (0.0, (0, 0, 0)), 3, 2, [1],
     ),
     # A and B at 0 are equally tempting (v - p = 2), so each resists nothing
     # and B's 1 is the bound: D's row there is open, phi(0) = 0 prunes it.
@@ -736,7 +774,7 @@ EDGE_CASES = {
     # below D's 0.25, D and A again equally tempting: pruned
     "equally_tempting": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.0, 2.0, 0.0, [0.0, 1.0])],
-        (1.0, (0, 0, 1)), 5, 4, [2],
+        (1.0, (0, 0, 1)), 5, 4, [1],
     ),
     # X sells at 1 with Y at 1 (a tie, v - p = 0 each); Y at 0 beats X at 1:
     # pruned.  Then Y's top margin equals that best (i_F = nd - 1): both of
@@ -760,7 +798,7 @@ EDGE_CASES = {
     "others_on_their_caps": (
         [(1.0, 10.0, 0.0, [2.0]), (1.0, 1.0, 0.0, [0.0, 1.0, 2.0]),
          (1.0, 1.0, 0.0, [0.0, 1.0, 2.0])],
-        (2.0, (0, 0, 0)), 15, 3, [8, 2, 2],
+        (2.0, (0, 0, 0)), 15, 3, [2, 2],
     ),
 }
 
@@ -771,15 +809,7 @@ def test_pruning_bounds_hold_on_their_edges(monkeypatch, case):
     u, v, c, grids = zip(*offers)
     prices = [np.array(p) for p in grids]
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
-    seen = []
-    top = _kernels._top
-
-    def counted(ustar, usub, gap, cost):
-        if usub is not None:
-            seen.append(len(ustar))
-        return top(ustar, usub, gap, cost)
-
-    monkeypatch.setattr(_kernels, "_top", counted)
+    seen = _count_open_rows(monkeypatch)
     tally = _kernels.Tally()
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed", tally) == expected
     assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
@@ -801,7 +831,7 @@ INTERVAL_EDGE_CASES = {
     # dropped without phi
     "v_lead_equals_v_last": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.0, 0.0, [0.0]), (1.5, 2.5, 0.0, [0.0, 0.5, 0.75, 1.5])],
-        (1.0, (0, 0, 3)), 9, 8, [3], None,
+        (1.0, (0, 0, 3)), 9, 8, [2], None,
     ),
     # D at 1 (own 0.25) reaches A's window, and B's window starts exactly at
     # 0.25 with B at 0: both rows reach both windows and are kept without
@@ -809,14 +839,14 @@ INTERVAL_EDGE_CASES = {
     "own_on_last_window": (
         [(1.25, 3.0, 0.0, [1.0]), (0.0, 2.5, 0.0, [0.0]),
          (_window_from(0.25), 2.25, 0.0, [0.0, 0.5])],
-        (1.0, (0, 0, 1)), 5, 3, [2], None,
+        (1.0, (0, 0, 1)), 5, 3, [], None,
     ),
     # as above with the two other offers swapped: A's window starts exactly
     # at 0.25 with A at 0
     "own_on_lead_window": (
         [(1.25, 3.0, 0.0, [1.0]), (_window_from(0.25), 2.25, 0.0, [0.0, 0.5]),
          (0.0, 2.5, 0.0, [0.0])],
-        (1.0, (0, 1, 0)), 5, 3, [2], None,
+        (1.0, (0, 1, 0)), 5, 3, [], None,
     ),
     # D at 1 (temptation 2, own 0.5) is more tempting than A (v - p = 1) and
     # exactly as tempting as B at 0, not more; B is then the most tempting
@@ -824,12 +854,12 @@ INTERVAL_EDGE_CASES = {
     # at 0.5, D is the most tempting: kept, and D sells
     "temptation_on_v_last": (
         [(1.5, 3.0, 0.0, [1.0]), (0.25, 1.0, 0.0, [0.0]), (1.2, 2.0, 0.0, [0.0, 0.5])],
-        (1.0, (0, 0, 1)), 5, 4, [1], None,
+        (1.0, (0, 0, 1)), 5, 4, [], None,
     ),
     # as above with the two other offers swapped: A at 0 is exactly as tempting
     "temptation_on_v_lead": (
         [(1.5, 3.0, 0.0, [1.0]), (1.2, 2.0, 0.0, [0.0, 0.5]), (0.25, 1.0, 0.0, [0.0])],
-        (1.0, (0, 1, 0)), 5, 4, [1], None,
+        (1.0, (0, 1, 0)), 5, 4, [], None,
     ),
     # D at 2 is unaffordable (cap -1, below i_F = 0) and the most tempting
     # everywhere, so a row is kept exactly where another offer signs: A's
@@ -839,7 +869,7 @@ INTERVAL_EDGE_CASES = {
     "caps_end_the_rows": (
         [(1.0, 10.0, 0.0, [2.0]), (1.0, 1.0, 1.0, [1.0, 2.0]),
          (1.0, 1.0, 0.5, [0.0, 1.0, 2.0])],
-        (2.0, (0, 0, 0)), 11, 6, [5], None,
+        (2.0, (0, 0, 0)), 11, 6, [], None,
     ),
     # blocks of 4 rows split A's index 1 after B's index 0.  The first block
     # (i_F = 0, D at 1) keeps all four rows, D the most tempting in each,
@@ -849,7 +879,7 @@ INTERVAL_EDGE_CASES = {
     "block_splits_a_lead_index": (
         [(2.0, 3.6, 0.0, [1.0, 2.0]), (0.2, 1.0, 0.5, [0.0, 1.0]),
          (0.6, 2.5, 0.5, [0.0, 0.5, 1.0])],
-        (2.0, (1, 0, 2)), 16, 11, [4, 1], 4,
+        (2.0, (1, 0, 2)), 16, 11, [], 4,
     ),
 }
 
@@ -860,15 +890,7 @@ def test_interval_ends_hold_on_their_edges(monkeypatch, case):
     u, v, c, grids = zip(*offers)
     prices = [np.array(p) for p in grids]
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
-    seen = []
-    top = _kernels._top
-
-    def counted(ustar, usub, gap, cost):
-        if usub is not None:
-            seen.append(len(ustar))
-        return top(ustar, usub, gap, cost)
-
-    monkeypatch.setattr(_kernels, "_top", counted)
+    seen = _count_open_rows(monkeypatch)
     if block is not None:
         monkeypatch.setattr(_kernels, "ROW_BLOCK", block)
     tally = _kernels.Tally()
@@ -876,72 +898,101 @@ def test_interval_ends_hold_on_their_edges(monkeypatch, case):
     assert (tally.tuples, tally.pruned, seen) == (tuples, pruned, phi_rows)
 
 
-def _count_threshold_rows(monkeypatch):
-    """Wrap ``_kernels._threshold``; returns the list it fills with
-    ``(menu size, rows estimated)`` per call."""
-    seen = []
-    threshold = _kernels._threshold
-
-    def counted(ud, vd, uo, *rest):
-        est = threshold(ud, vd, uo, *rest)
-        seen.append((len(uo) + 1, est.size))
-        return est
-
-    monkeypatch.setattr(_kernels, "_threshold", counted)
-    return seen
-
-
 # Each case puts the one row of the second designated offer Y exactly on an
 # edge of the window test at i_F, as EDGE_CASES above.  X (u 2.5, v 2.5, one
 # price 1.5) sells first at 1.5, so Y's i_F is its index 2, price 2.0.  With
 # X at 1.5, Y (v 5) is the most tempting at every price and kept without
 # phi; X's overall utility 1 - phi(gap) bounds Y's, the gap 3, 2 and 1 at
-# Y's 1.0, 2.0 and 3.0.  The last entry lists the rows per ``_threshold``
-# call.
+# Y's 1.0, 2.0 and 3.0.
 REACH_EDGE_CASES = {
     # Y's u 1: -1 >= 1 - phi(2) = -1.5 at 2.0, -2 < 0.5 at 3.0.  The highest
-    # index whose window holds is i_F: the row is estimated, and Y sells at 2.
-    # X's window holds at 1.5 only with Y at 3.0: one of its four rows
+    # index whose window holds is i_F, and Y sells at 2.  X's window holds
+    # at 1.5 only with Y at 3.0: one of its four rows
     "window_ends_on_i_f": (
         [(2.5, 2.5, 0.0, [1.5]), (1.0, 5.0, 0.0, [0.5, 1.0, 2.0, 3.0])],
-        (2.0, (0, 2)), [1, 1],
+        (2.0, (0, 2)),
     ),
     # Y's u 0: -1 >= 1 - phi(3) = -3.5 at 1.0, -2 < -1.5 at 2.0.  The
-    # highest index whose window holds is i_F - 1: the row is dropped
-    # before any estimate, and X sells at 1.5 with Y at 2.0 (or 3.0)
+    # highest index whose window holds is i_F - 1: the row is dropped at
+    # i_F, and X sells at 1.5 with Y at 2.0 (or 3.0)
     "window_ends_below_i_f": (
         [(2.5, 2.5, 0.0, [1.5]), (0.0, 5.0, 0.0, [0.5, 1.0, 2.0, 3.0])],
-        (1.5, (0, 2)), [2],
+        (1.5, (0, 2)),
     ),
 }
 
 
 @pytest.mark.parametrize("case", REACH_EDGE_CASES)
-def test_only_rows_that_reach_f_are_estimated(monkeypatch, case):
-    offers, expected, threshold_rows = REACH_EDGE_CASES[case]
+def test_window_check_at_i_f_holds_on_its_edges(case):
+    offers, expected = REACH_EDGE_CASES[case]
     u, v, c, grids = zip(*offers)
     prices = [np.array(p) for p in grids]
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
-    seen = _count_threshold_rows(monkeypatch)
     assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed") == expected
-    assert [rows for _, rows in seen] == threshold_rows
+
+
+# Each case puts the search for a block's best index I* (module docstring of
+# ``_kernels``, step 5) on one of its edges.  D, the first offer, is
+# designated first, with i_F = 0; the second offer O earns less than any
+# price of D, so its rows are pruned untouched.  The last entry is the
+# window checks: one per row at i_F, then one per row still in the search at
+# each probe, and one per row that reached i_F at ``low`` where ``low < I*``.
+SEARCH_EDGE_CASES = {
+    # D's prices 1.0 and the next double both earn 1.0 - 1e3 = -999.0.  O at
+    # 0.0 is exactly as tempting as D at either price (v - p = 10), and its
+    # utility's window starts exactly at D's 0.25 at 1.0, so that row holds at
+    # index 0 only; with O at 1.0 the row holds at both.  I* = 1, and the
+    # tie order wants index 0, where both rows hold: D sells at 1.0 with O
+    # at 0.0, the smaller row.  Checks: 2 at i_F, 2 at 1, 2 at low = 0
+    "margins_round_equal": (
+        [(1.25, 11.0, 1e3, [1.0, np.nextafter(1.0, 2.0)]),
+         (_window_from(0.25), 10.0, 1e4, [0.0, 1.0])],
+        (-999.0, (0, 0)), 6,
+    ),
+    # D (u 2.5, v 8) is the most tempting in every row and affordable up to
+    # its index 1 (price 2).  O at 0.0 signs the menu at any price of D, but
+    # its 2 - phi(1) = 1.5 at D's 2.0 passes D's 0.5: that row sells at
+    # index 0.  O at 3.0 or 4.0 is unaffordable and far less tempting, so
+    # D's window holds at every price there, and its cap ends both rows at
+    # index 1, where D sells.  Checks: 3 at i_F, 3 at 1, 2 at 2, where only
+    # the caps stop the two rows
+    "window_holds_past_the_cap": (
+        [(2.5, 8.0, 0.0, [1.0, 2.0, 3.0, 4.0]), (2.0, 5.0, 10.0, [0.0, 3.0, 4.0])],
+        (2.0, (1, 1)), 8,
+    ),
+    # O (u 0, v 10) is at least as tempting as D (u 12, v 10) at every price
+    # k = 0, ..., 8, so D's overall utility is 12 - k - phi(k), which reaches
+    # O's 0 up to k = 4: the gallop's probes 1, 2 and 4 hold, 4 = I*, and 8,
+    # then the bisection's 6 and 5 fail.  Checks: 1 at i_F, 6 probes
+    "probe_lands_on_the_best_index": (
+        [(12.0, 10.0, 0.0, [float(k) for k in range(9)]), (0.0, 10.0, 10.0, [0.0])],
+        (4.0, (4, 0)), 7,
+    ),
+    # as above with D's u 9: D reaches O's 0 up to k = 3.  The probes at 1
+    # and 2 hold, the one at 4 fails one index past I*, and the bisection's
+    # 3 holds.  Checks: 1 at i_F, 4 probes
+    "probe_lands_one_past_the_best_index": (
+        [(9.0, 10.0, 0.0, [float(k) for k in range(9)]), (0.0, 10.0, 10.0, [0.0])],
+        (3.0, (3, 0)), 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_EDGE_CASES)
+def test_best_price_search_holds_on_its_edges(case):
+    offers, expected, window_checks = SEARCH_EDGE_CASES[case]
+    u, v, c, grids = zip(*offers)
+    prices = [np.array(p) for p in grids]
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "exhaustive") == expected
+    tally = _kernels.Tally()
+    assert _kernels.search_subset(u, v, c, prices, EDGE_COST, "bracketed", tally) == expected
+    assert tally.window_checks == window_checks
 
 
 def test_bracketed_takes_at_most_three_offers():
     grids = [np.array([0.0, 1.0])] * 4
     with pytest.raises(ValueError, match="at most three offers, got 4"):
         _kernels.search_subset((1.0,) * 4, (1.0,) * 4, (0.0,) * 4, grids, EDGE_COST, "bracketed")
-
-
-def _wrong_estimate(kind, step):
-    exact = _kernels.psi_inverse
-    return {
-        "shift_up": lambda y, xs, psis: exact(y, xs, psis) + 3.0 * step,
-        "shift_down": lambda y, xs, psis: exact(y, xs, psis) - 3.0 * step,
-        "one_step_down": lambda y, xs, psis: exact(y, xs, psis) - step,
-        "zeros": lambda y, xs, psis: np.zeros_like(y),
-        "inf": lambda y, xs, psis: np.full_like(y, np.inf),
-    }[kind]
 
 
 def _subset_results(inst, prices, mode):
@@ -960,35 +1011,13 @@ def _subset_results(inst, prices, mode):
     ]
 
 
-@pytest.mark.parametrize(
-    "estimate", ("shift_up", "shift_down", "one_step_down", "zeros", "inf")
-)
-@pytest.mark.parametrize("power", (False, True))
-def test_window_check_keeps_bracketed_exact_under_wrong_estimates(
-    running, monkeypatch, estimate, power
-):
+@pytest.mark.parametrize("power", (False, True), ids=["piecewise", "power"])
+def test_bracketed_equals_exhaustive_on_every_subset(running, power):
     inst = with_power_cost(running) if power else running
-    fine = GridSpec(price_step=0.5, price_min=0.0, price_max=20.0)
-    prices = oracle._price_arrays(inst, fine)
-    coarse = GridSpec(
-        price_step=2.5, price_min=0.0, price_max=17.5, include_analytic_prices=False
+    prices = oracle._price_arrays(inst, GridSpec(price_step=0.5, price_min=0.0, price_max=20.0))
+    assert _subset_results(inst, prices, "bracketed") == _subset_results(
+        inst, prices, "exhaustive"
     )
-    reference = _python_reference_best(inst, [list(coarse.base_points())] * 3)
-    expected = _subset_results(inst, prices, "exhaustive")
-    expected_coarse = grid_best_contract(inst, coarse, mode="exhaustive")
-
-    monkeypatch.setattr(_kernels, "psi_inverse", _wrong_estimate(estimate, 0.5))
-    assert _subset_results(inst, prices, "bracketed") == expected
-    seen = _count_threshold_rows(monkeypatch)
-    sol, stats = grid_best_contract(inst, coarse, mode="bracketed", stats=True)
-    assert sol.profit == expected_coarse.profit == reference
-    assert menu_prices(sol) == menu_prices(expected_coarse)
-    assert menu_ids(sol) == menu_ids(expected_coarse)
-    if estimate == "inf":
-        # no estimate is confirmed: every row that reaches _threshold is bisected
-        estimated = [sum(n for size, n in seen if size == s.size) for s in stats.sizes[1:]]
-        assert all(estimated)
-        assert [s.fallback_rows for s in stats.sizes[1:]] == estimated
 
 
 # -- one choice rule ----------------------------------------------------------------
