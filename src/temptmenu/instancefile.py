@@ -27,7 +27,7 @@ mapping, which YAML would otherwise resolve silently to its last value.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_args
 
 import yaml
@@ -123,6 +123,43 @@ def _number(node: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _record(cls, node, path: str, extra: tuple[str, ...] = ()):
+    """The dataclass ``cls`` read from the mapping ``node`` at ``path``.
+
+    The keys are the ``extra`` ones the caller reads and the fields, read in
+    order by their annotation's text (the schema's classes postpone their
+    annotations): ``float``, ``int``, ``str`` (non-empty) or ``bool``.  A
+    field with a default may be left out.
+    """
+    node = _as_map(node, path)
+    _known(node, [*extra, *(f.name for f in fields(cls))], path)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in node and f.default is not MISSING:
+            continue
+        where = f"{path}.{f.name}"
+        if f.type == "float":
+            value = _number(node, f.name, path)
+        elif f.type == "int":
+            value = _number(node, f.name, path)
+            if not value.is_integer():
+                _fail(where, f"expected an integer, got {value!r}")
+            value = int(value)
+        elif f.type == "str":
+            value = _get(node, f.name, path)
+            if not isinstance(value, str) or not value:
+                _fail(where, f"expected a non-empty string, got {value!r}")
+        else:  # bool
+            value = _get(node, f.name, path)
+            if not isinstance(value, bool):
+                _fail(where, f"expected a boolean, got {value!r}")
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _cost_function(node, path: str) -> CostFunction:
     node = _as_map(node, path)
     kind = _get(node, "kind", path)
@@ -130,13 +167,7 @@ def _cost_function(node, path: str) -> CostFunction:
     cls = next((c for c in get_args(CostFunction) if c.kind == kind), None)
     if cls is None:
         _fail(f"{path}.kind", f"unknown cost function kind {kind!r}")
-    names = [f.name for f in fields(cls)]
-    _known(node, ["kind", *names], path)
-    params = {name: _number(node, name, path) for name in names}
-    try:
-        return cls(**params)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _record(cls, node, path, extra=("kind",))
 
 
 def parse_instance(text: str) -> InstanceDocument:
@@ -160,48 +191,16 @@ def parse_instance(text: str) -> InstanceDocument:
     raw_alts = _get(root, "alternatives", "document")
     if not isinstance(raw_alts, list) or not raw_alts:
         _fail("alternatives", "expected a non-empty list")
-    alts = []
-    for i, entry in enumerate(raw_alts):
-        path = f"alternatives[{i}]"
-        entry = _known(_as_map(entry, path), [f.name for f in fields(Alternative)], path)
-        alt_id = _get(entry, "id", path)
-        if not isinstance(alt_id, str) or not alt_id:
-            _fail(f"{path}.id", f"expected a non-empty string, got {alt_id!r}")
-        alts.append(
-            Alternative(
-                id=alt_id,
-                u=_number(entry, "u", path),
-                v=_number(entry, "v", path),
-                c=_number(entry, "c", path),
-            )
-        )
+    alts = [
+        _record(Alternative, entry, f"alternatives[{i}]") for i, entry in enumerate(raw_alts)
+    ]
     cost_fn = _cost_function(_get(root, "cost_function", "document"), "cost_function")
 
     grid = None
     if "solver" in root and root["solver"] is not None:
         solver = _known(_as_map(root["solver"], "solver"), ["grid"], "solver")
         if "grid" in solver and solver["grid"] is not None:
-            gnode = _as_map(solver["grid"], "solver.grid")
-            _known(gnode, [f.name for f in fields(GridSpec)], "solver.grid")
-            kwargs = {
-                "price_step": _number(gnode, "price_step", "solver.grid"),
-                "price_min": _number(gnode, "price_min", "solver.grid"),
-                "price_max": _number(gnode, "price_max", "solver.grid"),
-            }
-            if "max_menu_size" in gnode:
-                size = _number(gnode, "max_menu_size", "solver.grid")
-                if not size.is_integer():
-                    _fail("solver.grid.max_menu_size", f"expected an integer, got {size!r}")
-                kwargs["max_menu_size"] = int(size)
-            if "include_analytic_prices" in gnode:
-                flag = gnode["include_analytic_prices"]
-                if not isinstance(flag, bool):
-                    _fail("solver.grid.include_analytic_prices", f"expected a boolean, got {flag!r}")
-                kwargs["include_analytic_prices"] = flag
-            try:
-                grid = GridSpec(**kwargs)
-            except ValueError as exc:
-                _fail("solver.grid", str(exc))
+            grid = _record(GridSpec, solver["grid"], "solver.grid")
 
     try:
         instance = ProblemInstance(tuple(alts), cost_fn)
@@ -225,9 +224,7 @@ def dump_instance(doc: InstanceDocument | ProblemInstance) -> str:
     cost = inst.cost_fn
     cost_node = {"kind": cost.kind, **asdict(cost)}
     root: dict = {
-        "alternatives": [
-            {"id": a.id, "u": a.u, "v": a.v, "c": a.c} for a in inst.alternatives
-        ],
+        "alternatives": [asdict(a) for a in inst.alternatives],
         "cost_function": cost_node,
     }
     if doc.grid is not None:

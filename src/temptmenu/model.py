@@ -198,20 +198,19 @@ class ContractKind(str, enum.Enum):
     COMPROMISING = "compromising"
 
 
-_KIND_SIZE = {
-    ContractKind.COMMITMENT: 1,
-    ContractKind.INDULGING: 2,
-    ContractKind.COMPROMISING: 3,
+_KIND_BY_SIZE = {
+    1: ContractKind.COMMITMENT,
+    2: ContractKind.INDULGING,
+    3: ContractKind.COMPROMISING,
 }
 
 
 @dataclass(frozen=True)
 class Contract:
-    """A menu of one to three offers with a designated intended sale."""
+    """A menu of one to three offers with a designated sale; its size is its ``kind``."""
 
     offers: tuple[Offer, ...]
     intended: int
-    kind: ContractKind
 
     def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
@@ -222,11 +221,10 @@ class Contract:
             raise ValueError(f"offers must reference distinct alternatives, got {ids}")
         if not 0 <= self.intended < len(self.offers):
             raise ValueError(f"intended index {self.intended} out of range")
-        if _KIND_SIZE[self.kind] != len(self.offers):
-            raise ValueError(
-                f"{self.kind.value} contract must hold {_KIND_SIZE[self.kind]} "
-                f"offer(s), got {len(self.offers)}"
-            )
+
+    @property
+    def kind(self) -> ContractKind:
+        return _KIND_BY_SIZE[len(self.offers)]
 
     @property
     def intended_offer(self) -> Offer:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .model import (
-    _KIND_SIZE,
     Contract,
     Offer,
     ProblemInstance,
@@ -54,8 +53,6 @@ if TYPE_CHECKING:
 
 MAX_GRID_POINTS = 10_000
 """Desk-scale guard: base grid points per alternative."""
-
-_SIZE_KIND = {size: kind for kind, size in _KIND_SIZE.items()}
 
 
 class GridTooLarge(ValueError):
@@ -234,7 +231,8 @@ def grid_best_contract(
 def _replay_best(inst, prices, best) -> Solution | None:
     """The search's best menu as a replayed solution, or None if it loses money.
 
-    The menu is replayed once; the replay's choice becomes the intended offer.
+    The menu is replayed once; the replay's choice becomes the intended offer,
+    which the solution reports as ``sold``.
     """
     if best is None or best[0] < 0.0:
         return None
@@ -242,18 +240,14 @@ def _replay_best(inst, prices, best) -> Solution | None:
     offers = tuple(
         Offer(inst.alternatives[i], float(prices[i][j])) for i, j in zip(subset, idx)
     )
-    kind = _SIZE_KIND[len(offers)]
-    outcome = realized_outcome(Contract(offers, 0, kind), inst.cost_fn)
+    outcome = realized_outcome(Contract(offers, 0), inst.cost_fn)
     if outcome.chosen is None or abs(outcome.profit - profit) > 1e-9:
         raise AssertionError(
             f"kernel/model disagreement on menu {offers}: kernel profit {profit}, "
             f"replay {outcome.profit}"
         )
     intended = next(i for i, o in enumerate(offers) if o is outcome.chosen)
-    return Solution(
-        Contract(offers, intended, kind), outcome.profit, outcome.welfare,
-        outcome.chosen.alternative, kind, (),
-    )
+    return Solution(Contract(offers, intended), outcome.profit, outcome.welfare, ())
 
 
 # -- solution replay ---------------------------------------------------------
@@ -269,10 +263,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of replaying a solution through the consumer model."""
+    """Outcome of replaying a solution; it ``passed`` when every check passed."""
 
-    passed: bool
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:
@@ -353,4 +350,4 @@ def verify_solution(sol: Solution, inst: ProblemInstance) -> VerificationReport:
     checks.append(
         CheckResult("residuals_small", worst <= PRICE_TOL, worst)
     )
-    return VerificationReport(all(c.passed for c in checks), tuple(checks))
+    return VerificationReport(tuple(checks))

@@ -59,20 +59,27 @@ class NotCompromisable(ValueError):
 
 @dataclass(frozen=True)
 class Solution:
-    """A priced contract and its bookkeeping.
+    """A priced contract and the claims ``oracle.verify_solution`` replays.
 
     ``welfare`` is the intended offer's consumption-time utility (at a
     returned optimum all offers are tied, so this equals the replayed
     welfare).  ``residuals`` holds the absolute residuals of the implicit
     price equations used in the construction, in construction order.
+    ``sold`` and ``kind`` are read from the contract.
     """
 
     contract: Contract
     profit: float
     welfare: float
-    sold: Alternative
-    kind: ContractKind
     residuals: tuple[float, ...]
+
+    @property
+    def sold(self) -> Alternative:
+        return self.contract.intended_offer.alternative
+
+    @property
+    def kind(self) -> ContractKind:
+        return self.contract.kind
 
 
 def solve_monotone_price(residual: Callable[[float], float], lo: float, hi: float) -> float:
@@ -340,15 +347,14 @@ def _solution(
         p_decoy, res_decoy = table.decoy_entry
         offers = (Offer(x, price), Offer(bait, bait.u), Offer(table.decoy, p_decoy))
         residuals = (res_decoy, residual)
-    contract = Contract(offers, 0, kind)
+    contract = Contract(offers, 0)
     welfare = overall_utilities(contract, table.cost)[0]
-    return Solution(contract, price - x.c, welfare, x, kind, residuals)
+    return Solution(contract, price - x.c, welfare, residuals)
 
 
 def commitment_contract(x: Alternative) -> Solution:
     """Sell ``x`` alone at its utility value; the consumer keeps zero surplus."""
-    contract = Contract((Offer(x, x.u),), 0, ContractKind.COMMITMENT)
-    return Solution(contract, x.u - x.c, 0.0, x, ContractKind.COMMITMENT, ())
+    return Solution(Contract((Offer(x, x.u),), 0), x.u - x.c, 0.0, ())
 
 
 def indulging_contract(x: Alternative, inst: ProblemInstance) -> Solution:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from typing import ClassVar
 
 import numpy as np
@@ -12,13 +11,9 @@ import numpy as np
 from temptmenu import (
     Alternative,
     AssumptionViolated,
-    GridSpec,
-    GridTooLarge,
     PiecewiseLinearCost,
     PowerCost,
     ProblemInstance,
-    _kernels,
-    oracle,
 )
 
 
@@ -127,32 +122,6 @@ def random_pw_instance(
             )
         except (AssumptionViolated, ValueError):
             continue
-
-
-OVERSIZE_WORK_LIMIT = 20_000_000
-"""Guard of ``oversize_menu_search``: price tuples in any one subset."""
-
-
-def oversize_menu_search(inst: ProblemInstance, grid: GridSpec, menu_size: int = 4) -> float:
-    """Best profit over menus of exactly ``menu_size`` offers, past the
-    library's three-offer cap, on tiny grids: a fourth offer must add nothing.
-
-    Runs the ``exhaustive`` search, the only one that takes more than three
-    offers.  Returns the best profit (0.0 when every such menu is rejected);
-    menus themselves are not reported.  Raises ``GridTooLarge`` when a
-    subset holds more than ``OVERSIZE_WORK_LIMIT`` price tuples.
-    """
-    if menu_size < 2 or menu_size > len(inst.alternatives):
-        raise ValueError(f"menu_size {menu_size} not supported for this instance")
-    prices = oracle._price_arrays(inst, grid)
-    for subset in combinations(range(len(inst.alternatives)), menu_size):
-        work = math.prod(len(prices[i]) for i in subset)
-        if work > OVERSIZE_WORK_LIMIT:
-            raise GridTooLarge(f"{work} price tuples for subset {subset}; shrink the grid")
-    best = oracle._best_over_subsets(
-        inst, prices, range(menu_size, menu_size + 1), "exhaustive", {menu_size: _kernels.Tally()}
-    )
-    return 0.0 if best is None else max(best[0], 0.0)
 
 
 def with_power_cost(inst: ProblemInstance, alpha: float = 1.0, gamma: float = 2.0):

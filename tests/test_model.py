@@ -39,10 +39,7 @@ P_DECOY = 32.5 / 3
 
 
 def optimal_menu(intended: int = 0) -> Contract:
-    return Contract(
-        (Offer(B, 12.0), Offer(A, 10.0), Offer(C, P_DECOY)), intended,
-        ContractKind.COMPROMISING,
-    )
+    return Contract((Offer(B, 12.0), Offer(A, 10.0), Offer(C, P_DECOY)), intended)
 
 
 # -- self-control cost --------------------------------------------------------
@@ -216,7 +213,7 @@ def test_excess_temptation():
 
 
 def test_actual_choice_singleton():
-    menu = Contract((Offer(A, 10.0),), 0, ContractKind.COMMITMENT)
+    menu = Contract((Offer(A, 10.0),), 0)
     assert actual_choice(menu, PW).alternative.id == "A"
     assert perceived_choice(menu).alternative.id == "A"
 
@@ -240,14 +237,14 @@ def test_shaving_the_intended_price_breaks_the_knife_edge():
     assert scores[i] == max(scores) and max(rivals) >= scores[i] - model.CHOICE_TIE_TOL
     offers = list(menu.offers)
     offers[i] = Offer(offers[i].alternative, offers[i].price - 1e-9)
-    shaved = Contract(tuple(offers), i, menu.kind)
+    shaved = Contract(tuple(offers), i)
     scores = overall_utilities(shaved, inst.cost_fn)
     assert scores[i] > max(s for j, s in enumerate(scores) if j != i)
     assert actual_choice(shaved, inst.cost_fn) is shaved.offers[i]
 
 
 def test_actual_choice_tempted_away():
-    menu = Contract((Offer(A, 10.0), Offer(C, 2.0)), 0, ContractKind.INDULGING)
+    menu = Contract((Offer(A, 10.0), Offer(C, 2.0)), 0)
     scores = overall_utilities(menu, PW)
     assert scores[0] == pytest.approx(-26.5)
     assert scores[1] == pytest.approx(0.0)
@@ -262,18 +259,18 @@ def test_perceived_choice_ignores_temptation():
 
 def test_choice_tie_breaks_toward_higher_margin_then_position():
     # equal perceived utilities, distinct margins: the pricier sale wins
-    menu = Contract((Offer(B, 8.0), Offer(A, 10.0)), 0, ContractKind.INDULGING)
+    menu = Contract((Offer(B, 8.0), Offer(A, 10.0)), 0)
     assert perceived_choice(menu).alternative.id == "A"
     # equal utilities and equal margins: earliest menu position wins
     a2 = Alternative("A2", 10.0, 10.0, 5.0)
-    menu = Contract((Offer(A, 10.0), Offer(a2, 10.0)), 0, ContractKind.INDULGING)
+    menu = Contract((Offer(A, 10.0), Offer(a2, 10.0)), 0)
     assert perceived_choice(menu).alternative.id == "A"
     assert actual_choice(menu, PW).alternative.id == "A"
 
 
 def test_accepts_at_exact_indifference():
-    assert accepts(Contract((Offer(A, 10.0),), 0, ContractKind.COMMITMENT))
-    assert not accepts(Contract((Offer(A, 10.01),), 0, ContractKind.COMMITMENT))
+    assert accepts(Contract((Offer(A, 10.0),), 0))
+    assert not accepts(Contract((Offer(A, 10.01),), 0))
     assert accepts(optimal_menu())
 
 
@@ -282,7 +279,7 @@ def test_accepts_on_the_best_perceived_value_not_the_tie_broken_pick():
     # and B earns more: the tie-break picks B, the consumer signs on A's value
     inst = near_tie_instance()
     a, b, _ = inst.alternatives
-    menu = Contract((Offer(b, 8.000000000033333), Offer(a, 10.0)), 0, ContractKind.INDULGING)
+    menu = Contract((Offer(b, 8.000000000033333), Offer(a, 10.0)), 0)
     assert perceived_choice(menu) is menu.offers[0]
     assert perceived_utilities(menu)[0] < 0.0 == perceived_utilities(menu)[1]
     assert accepts(menu)
@@ -292,7 +289,7 @@ def test_accepts_on_the_best_perceived_value_not_the_tie_broken_pick():
 
 
 def test_realized_outcome_singleton():
-    menu = Contract((Offer(A, 10.0),), 0, ContractKind.COMMITMENT)
+    menu = Contract((Offer(A, 10.0),), 0)
     out = realized_outcome(menu, PW)
     assert out.profit == 5.0
     assert out.welfare == 0.0
@@ -307,7 +304,7 @@ def test_realized_outcome_optimal_menu():
 
 
 def test_realized_outcome_rejected_menu():
-    menu = Contract((Offer(A, 11.0),), 0, ContractKind.COMMITMENT)
+    menu = Contract((Offer(A, 11.0),), 0)
     out = realized_outcome(menu, PW)
     assert out == realized_outcome(menu, PW)
     assert (out.profit, out.welfare, out.chosen) == (0.0, 0.0, None)
@@ -325,7 +322,7 @@ alt_strategy = st.builds(
 @given(alt=alt_strategy, price=st.floats(-20, 30))
 @settings(max_examples=100)
 def test_singleton_choices_coincide(alt, price):
-    menu = Contract((Offer(alt, price),), 0, ContractKind.COMMITMENT)
+    menu = Contract((Offer(alt, price),), 0)
     assert actual_choice(menu, PW) is perceived_choice(menu)
 
 
@@ -340,12 +337,10 @@ def test_singleton_choices_coincide(alt, price):
 def test_duplicating_most_tempting_offer_is_neutral(prices, cost):
     """A second copy of the most tempting offer leaves realized utility alone."""
     p_a, p_b = prices
-    base = Contract((Offer(A, p_a), Offer(B, p_b)), 0, ContractKind.INDULGING)
+    base = Contract((Offer(A, p_a), Offer(B, p_b)), 0)
     most = max(base.offers, key=lambda o: o.alternative.v - o.price)
     clone = Alternative("clone", most.alternative.u, most.alternative.v, most.alternative.c)
-    bigger = Contract(
-        base.offers + (Offer(clone, most.price),), 0, ContractKind.COMPROMISING
-    )
+    bigger = Contract(base.offers + (Offer(clone, most.price),), 0)
     before = max(overall_utilities(base, cost))
     after = max(overall_utilities(bigger, cost))
     assert after == pytest.approx(before, abs=1e-12)
@@ -356,9 +351,7 @@ def test_duplicating_most_tempting_offer_is_neutral(prices, cost):
 )
 @settings(max_examples=100)
 def test_cost_argument_never_negative(p1, p2, p3):
-    menu = Contract(
-        (Offer(A, p1), Offer(B, p2), Offer(C, p3)), 0, ContractKind.COMPROMISING
-    )
+    menu = Contract((Offer(A, p1), Offer(B, p2), Offer(C, p3)), 0)
     temptations = [o.alternative.v - o.price for o in menu.offers]
     m = max(temptations)
     assert all(m - t >= 0.0 for t in temptations)
@@ -371,13 +364,19 @@ def test_cost_argument_never_negative(p1, p2, p3):
 
 def test_contract_validation():
     with pytest.raises(ValueError, match="distinct"):
-        Contract((Offer(A, 1.0), Offer(A, 2.0)), 0, ContractKind.INDULGING)
-    with pytest.raises(ValueError, match="commitment"):
-        Contract((Offer(A, 1.0), Offer(B, 2.0)), 0, ContractKind.COMMITMENT)
+        Contract((Offer(A, 1.0), Offer(A, 2.0)), 0)
+    with pytest.raises(ValueError, match="1..3 offers"):
+        Contract((), 0)
     with pytest.raises(ValueError, match="intended"):
-        Contract((Offer(A, 1.0),), 1, ContractKind.COMMITMENT)
+        Contract((Offer(A, 1.0),), 1)
     with pytest.raises(ValueError):
         Offer(A, float("nan"))
+
+
+def test_contract_kind_is_its_size():
+    offers = (Offer(A, 10.0), Offer(B, 8.0), Offer(C, 2.0))
+    kinds = [Contract(offers[:n], 0).kind for n in (1, 2, 3)]
+    assert kinds == [ContractKind.COMMITMENT, ContractKind.INDULGING, ContractKind.COMPROMISING]
 
 
 # -- instance validation -------------------------------------------------------

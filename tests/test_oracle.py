@@ -36,7 +36,6 @@ from temptmenu import _kernels, model, oracle
 from helpers import (
     QuadraticCost,
     near_tie_instance,
-    oversize_menu_search,
     random_pw_instance,
     running_instance,
     with_power_cost,
@@ -285,15 +284,6 @@ def test_menu_size_caps_respected(running):
     assert sol2.profit == pytest.approx(6.5)  # indulging B at 11.5
 
 
-def test_fourth_offer_adds_nothing():
-    rng = np.random.default_rng(5)
-    inst = random_pw_instance(rng, n=4)
-    grid = GridSpec(price_step=1.0, price_min=0.0, price_max=22.0)
-    best3 = grid_best_contract(inst, grid)
-    best4 = oversize_menu_search(inst, grid, menu_size=4)
-    assert best4 <= best3.profit + 1e-9
-
-
 def _random_menu(rng, family):
     """A menu of 4-8 offers, priced at a scale from 1 to 1e9, and a cost of
     ``family`` (0 piecewise, 1 power, 2 quadratic) scaled alike.  In 30% of
@@ -336,7 +326,7 @@ def test_three_offers_earn_what_any_menu_earns():
         chosen = model._pick(menu, model.overall_utilities(menu, cost))
         assert found[0] == offers[chosen].margin
         keep = sorted({chosen, int(np.argmax(v - p)), int(np.argmax(u - p))})
-        sub = Contract(tuple(offers[i] for i in keep), 0, oracle._SIZE_KIND[len(keep)])
+        sub = Contract(tuple(offers[i] for i in keep), 0)
         assert realized_outcome(sub, cost).profit == found[0], k
 
 
@@ -344,13 +334,8 @@ def _python_reference_best(inst, prices_by_alt):
     """Literal menu enumeration through the public model API."""
     from itertools import combinations, product
 
-    from temptmenu import Contract, ContractKind, realized_outcome
+    from temptmenu import Contract, realized_outcome
 
-    kind_by_size = {
-        1: ContractKind.COMMITMENT,
-        2: ContractKind.INDULGING,
-        3: ContractKind.COMPROMISING,
-    }
     best = None
     for size in (1, 2, 3):
         for subset in combinations(range(len(inst.alternatives)), size):
@@ -359,7 +344,7 @@ def _python_reference_best(inst, prices_by_alt):
                     Offer(inst.alternatives[i], float(p))
                     for i, p in zip(subset, prices)
                 )
-                menu = Contract(offers, 0, kind_by_size[size])
+                menu = Contract(offers, 0)
                 out = realized_outcome(menu, inst.cost_fn)
                 if out.chosen is None:
                     continue
@@ -1036,8 +1021,7 @@ def test_kernels_sign_and_pick_by_the_model_rule(shifts, size, mode):
     optimum = optimal_contract(inst).contract.offers[:size]
     alts = tuple(o.alternative for o in optimum)
     prices = [o.price + 2.5e-10 * k for o, k in zip(optimum, shifts)]
-    menu = Contract(tuple(Offer(x, p) for x, p in zip(alts, prices)), 0,
-                    oracle._SIZE_KIND[size])
+    menu = Contract(tuple(Offer(x, p) for x, p in zip(alts, prices)), 0)
     found = _kernels.search_subset(
         tuple(x.u for x in alts), tuple(x.v for x in alts), tuple(x.c for x in alts),
         [np.array([p]) for p in prices], inst.cost_fn, mode,
@@ -1116,3 +1100,24 @@ def test_verify_rejects_wrong_profit_claim(running):
     broken = dataclasses.replace(sol, profit=sol.profit + 0.5)
     report = verify_solution(broken, running)
     assert {c.name for c in report.failures} == {"profit_consistent"}
+
+
+def test_verify_rejects_a_moved_intended_offer(running):
+    # the claimed sale is read from the contract, so designating the bait
+    # claims the bait; the replay still sells B at another margin
+    sol = optimal_contract(running)
+    moved = dataclasses.replace(sol, contract=dataclasses.replace(sol.contract, intended=1))
+    assert moved.sold is moved.contract.offers[1].alternative
+    report = verify_solution(moved, running)
+    assert not report.passed
+    assert {c.name for c in report.failures} == {"intended_chosen", "profit_consistent"}
+
+
+def test_solution_types_store_only_what_they_cannot_read():
+    names = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (Contract, Solution, oracle.VerificationReport)}
+    assert names == {
+        Contract: ["offers", "intended"],
+        Solution: ["contract", "profit", "welfare", "residuals"],
+        oracle.VerificationReport: ["checks"],
+    }
